@@ -9,15 +9,6 @@ namespace {
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
 
-std::uint64_t fnv1a(std::uint64_t seed, std::span<const std::uint8_t> data) {
-    std::uint64_t h = seed;
-    for (const auto b : data) {
-        h ^= b;
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
 std::string hex_of(std::uint64_t v) {
     static constexpr char kDigits[] = "0123456789abcdef";
     std::string out(16, '0');
@@ -45,8 +36,16 @@ std::size_t KvStore::apply(std::span<const std::uint8_t> unit) {
 }
 
 void KvStore::apply_one(std::span<const std::uint8_t> request) {
-    digest_ = fnv1a(digest_, request);
-    const auto key = static_cast<std::uint32_t>(fnv1a(kFnvBasis, request) % kKeySpace);
+    // Two independent FNV-1a chains in one pass over the request: the running
+    // digest and the request's own key hash.
+    std::uint64_t digest = digest_;
+    std::uint64_t key_hash = kFnvBasis;
+    for (const auto b : request) {
+        digest = (digest ^ b) * kFnvPrime;
+        key_hash = (key_hash ^ b) * kFnvPrime;
+    }
+    digest_ = digest;
+    const auto key = static_cast<std::uint32_t>(key_hash % kKeySpace);
     store_[key] = digest_;
     ++applied_;
     if (checkpoint_interval_ != 0 && applied_ % checkpoint_interval_ == 0) take_checkpoint();

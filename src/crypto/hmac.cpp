@@ -1,50 +1,61 @@
 #include "crypto/hmac.hpp"
 
+#include <algorithm>
+
 #include "crypto/md5.hpp"
-#include "crypto/sha256.hpp"
 
 namespace failsig::crypto {
 
 namespace {
 
-template <typename Hasher>
-Bytes hmac(std::span<const std::uint8_t> key, std::span<const std::uint8_t> data) {
-    constexpr std::size_t kBlock = 64;  // both MD5 and SHA-256 use 64-byte blocks
+constexpr std::size_t kBlock = 64;  // both MD5 and SHA-256 use 64-byte blocks
 
-    Bytes k(kBlock, 0);
+/// Absorbs key ⊕ ipad into `inner` and key ⊕ opad into `outer` (RFC 2104);
+/// a key longer than a block is hashed first.
+template <typename Hasher>
+void absorb_pads(std::span<const std::uint8_t> key, Hasher& inner, Hasher& outer) {
+    std::uint8_t k[kBlock] = {};
     if (key.size() > kBlock) {
         const auto kd = Hasher::hash(key);
-        std::copy(kd.begin(), kd.end(), k.begin());
+        std::copy(kd.begin(), kd.end(), k);
     } else {
-        std::copy(key.begin(), key.end(), k.begin());
+        std::copy(key.begin(), key.end(), k);
     }
+    std::uint8_t pad[kBlock];
+    for (std::size_t i = 0; i < kBlock; ++i) pad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
+    inner.update(pad);
+    for (std::size_t i = 0; i < kBlock; ++i) pad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
+    outer.update(pad);
+}
 
-    Bytes ipad(kBlock), opad(kBlock);
-    for (std::size_t i = 0; i < kBlock; ++i) {
-        ipad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
-        opad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
-    }
-
-    Hasher inner;
-    inner.update(ipad);
+/// Finishes a tag from copies of the pad-absorbed hashers.
+template <typename Hasher>
+auto finish_tag(Hasher inner, Hasher outer, std::span<const std::uint8_t> data) {
     inner.update(data);
     const auto inner_digest = inner.finish();
-
-    Hasher outer;
-    outer.update(opad);
-    outer.update(std::span(inner_digest.data(), inner_digest.size()));
-    const auto tag = outer.finish();
-    return Bytes(tag.begin(), tag.end());
+    outer.update(inner_digest);
+    return outer.finish();
 }
 
 }  // namespace
 
+HmacSha256::HmacSha256(std::span<const std::uint8_t> key) { absorb_pads(key, inner_, outer_); }
+
+std::array<std::uint8_t, HmacSha256::kTagSize> HmacSha256::tag(
+    std::span<const std::uint8_t> data) const {
+    return finish_tag(inner_, outer_, data);
+}
+
 Bytes hmac_sha256(std::span<const std::uint8_t> key, std::span<const std::uint8_t> data) {
-    return hmac<Sha256>(key, data);
+    const auto t = HmacSha256(key).tag(data);
+    return Bytes(t.begin(), t.end());
 }
 
 Bytes hmac_md5(std::span<const std::uint8_t> key, std::span<const std::uint8_t> data) {
-    return hmac<Md5>(key, data);
+    Md5 inner, outer;
+    absorb_pads(key, inner, outer);
+    const auto t = finish_tag(inner, outer, data);
+    return Bytes(t.begin(), t.end());
 }
 
 }  // namespace failsig::crypto

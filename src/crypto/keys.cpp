@@ -40,32 +40,43 @@ private:
 
 class HmacSigner final : public Signer {
 public:
-    HmacSigner(std::string principal, Bytes key)
-        : principal_(std::move(principal)), key_(std::move(key)) {}
+    HmacSigner(std::string principal, std::span<const std::uint8_t> key)
+        : principal_(std::move(principal)), mac_(key) {}
 
     [[nodiscard]] Bytes sign(std::span<const std::uint8_t> message) const override {
-        return hmac_sha256(key_, message);
+        const auto tag = mac_.tag(message);
+        return Bytes(tag.begin(), tag.end());
     }
     [[nodiscard]] const std::string& principal() const override { return principal_; }
 
 private:
     std::string principal_;
-    Bytes key_;
+    HmacSha256 mac_;
 };
 
 class HmacVerifier final : public Verifier {
 public:
-    explicit HmacVerifier(Bytes key) : key_(std::move(key)) {}
+    explicit HmacVerifier(std::span<const std::uint8_t> key) : mac_(key) {}
 
     [[nodiscard]] bool verify(std::span<const std::uint8_t> message,
                               std::span<const std::uint8_t> signature) const override {
-        const Bytes expected = hmac_sha256(key_, message);
-        return constant_time_equal(expected, signature);
+        return constant_time_equal(mac_.tag(message), signature);
     }
 
 private:
-    Bytes key_;
+    HmacSha256 mac_;
 };
+
+/// Feeds `data` to `h` with the u32 little-endian length prefix of
+/// ByteWriter::bytes.
+void update_prefixed(Sha256& h, std::span<const std::uint8_t> data) {
+    const auto n = static_cast<std::uint32_t>(data.size());
+    const std::uint8_t len[4] = {static_cast<std::uint8_t>(n), static_cast<std::uint8_t>(n >> 8),
+                                 static_cast<std::uint8_t>(n >> 16),
+                                 static_cast<std::uint8_t>(n >> 24)};
+    h.update(len);
+    h.update(data);
+}
 
 }  // namespace
 
@@ -92,10 +103,7 @@ void KeyService::register_principal(const std::string& name) {
     make_entry(name);
 }
 
-void KeyService::rotate_principal(const std::string& name) {
-    make_entry(name);
-    memo_.erase(name);
-}
+void KeyService::rotate_principal(const std::string& name) { make_entry(name); }
 
 std::string KeyService::link_principal(const std::string& a, const std::string& b) {
     const auto& lo = std::min(a, b);
@@ -120,23 +128,33 @@ bool KeyService::verify_cached(const std::string& name, std::span<const std::uin
                                std::span<const std::uint8_t> signature) const {
     const auto it = entries_.find(name);
     if (it == entries_.end()) return false;
-    // Domain-separated digest of (message, signature): length prefix keeps
-    // (m, s) and (m', s') with m++s == m'++s' from colliding.
-    ByteWriter w;
-    w.reserve(12 + message.size() + signature.size());
-    w.bytes(message);
-    w.bytes(signature);
-    const std::string digest = to_hex(sha256(w.view()));
-    auto& per_principal = memo_[name];
-    const auto hit = per_principal.find(digest);
-    if (hit != per_principal.end()) {
-        ++verify_cache_hits_;
-        return hit->second;
+    const Entry& entry = it->second;
+    Sha256 h;
+    update_prefixed(h, message);
+    update_prefixed(h, signature);
+    const Digest digest = h.finish();
+    {
+        const std::lock_guard lock(memo_mutex_);
+        if (const auto hit = entry.memo.find(digest); hit != entry.memo.end()) {
+            ++verify_cache_hits_;
+            return hit->second;
+        }
+        ++verify_ops_;
     }
-    ++verify_ops_;
-    const bool ok = it->second.verifier->verify(message, signature);
-    per_principal.emplace(digest, ok);
+    const bool ok = entry.verifier->verify(message, signature);
+    const std::lock_guard lock(memo_mutex_);
+    entry.memo.emplace(digest, ok);
     return ok;
+}
+
+std::uint64_t KeyService::verify_ops() const {
+    const std::lock_guard lock(memo_mutex_);
+    return verify_ops_;
+}
+
+std::uint64_t KeyService::verify_cache_hits() const {
+    const std::lock_guard lock(memo_mutex_);
+    return verify_cache_hits_;
 }
 
 const Signer& KeyService::signer(const std::string& name) const {

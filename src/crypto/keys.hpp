@@ -11,7 +11,10 @@
 //            RSA's CPU cost is charged in *simulated* time by the cost model.
 #pragma once
 
+#include <array>
+#include <cstring>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 
@@ -72,6 +75,8 @@ public:
     /// signature) triple that already verified costs one hash instead of a
     /// public-key operation. This is what makes relaying a double-signed
     /// envelope O(1) RSA verifies per (principal, digest) across all hops.
+    /// Safe to call from several threads at once (the TCP backend's node
+    /// executors share one KeyService); registration and rotation are not.
     [[nodiscard]] bool verify_cached(const std::string& name,
                                      std::span<const std::uint8_t> message,
                                      std::span<const std::uint8_t> signature) const;
@@ -79,14 +84,29 @@ public:
     [[nodiscard]] Backend backend() const { return backend_; }
 
     /// Real verifier invocations (memo misses) and memo hits, for the
-    /// perf-regression bench.
-    [[nodiscard]] std::uint64_t verify_ops() const { return verify_ops_; }
-    [[nodiscard]] std::uint64_t verify_cache_hits() const { return verify_cache_hits_; }
+    /// perf-regression bench. Every verify_cached() call on a known
+    /// principal counts exactly once in one of the two.
+    [[nodiscard]] std::uint64_t verify_ops() const;
+    [[nodiscard]] std::uint64_t verify_cache_hits() const;
 
 private:
+    /// SHA-256 of (u32 len ‖ message ‖ u32 len ‖ signature); the length
+    /// prefixes keep (m, s) and (m', s') with m‖s == m'‖s' apart.
+    using Digest = std::array<std::uint8_t, 32>;
+    struct DigestHash {
+        std::size_t operator()(const Digest& d) const noexcept {
+            std::size_t h;
+            std::memcpy(&h, d.data(), sizeof h);
+            return h;
+        }
+    };
+
     struct Entry {
         std::unique_ptr<Signer> signer;
         std::unique_ptr<Verifier> verifier;
+        /// digest(message, signature) -> verdict under this entry's key.
+        /// Replacing the entry (rotation) drops it.
+        mutable std::unordered_map<Digest, bool, DigestHash> memo;
     };
 
     void make_entry(const std::string& name);
@@ -95,8 +115,9 @@ private:
     std::size_t rsa_bits_;
     Rng rng_;
     std::unordered_map<std::string, Entry> entries_;
-    /// principal -> digest(message, signature) -> verdict.
-    mutable std::unordered_map<std::string, std::unordered_map<std::string, bool>> memo_;
+    /// Guards every Entry::memo and both counters; never held across a
+    /// real verify.
+    mutable std::mutex memo_mutex_;
     mutable std::uint64_t verify_ops_{0};
     mutable std::uint64_t verify_cache_hits_{0};
 };

@@ -68,16 +68,21 @@ void Md5::update(std::span<const std::uint8_t> data) {
 }
 
 std::array<std::uint8_t, Md5::kDigestSize> Md5::finish() {
+    constexpr std::size_t kLengthAt = 56;
     const std::uint64_t bit_len = total_len_ * 8;
-    const std::uint8_t pad_byte = 0x80;
-    update(std::span(&pad_byte, 1));
-    const std::uint8_t zero = 0x00;
-    while (buffer_len_ != 56) update(std::span(&zero, 1));
-    std::uint8_t len_bytes[8];
-    for (int i = 0; i < 8; ++i) len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
-    // The length bytes were counted by update(); that is harmless because the
-    // digest only depends on total_len_ captured above.
-    update(std::span(len_bytes, 8));
+    buffer_[buffer_len_++] = 0x80;
+    if (buffer_len_ > kLengthAt) {
+        std::memset(buffer_ + buffer_len_, 0, 64 - buffer_len_);
+        process_block(buffer_);
+        buffer_len_ = 0;
+    }
+    std::memset(buffer_ + buffer_len_, 0, kLengthAt - buffer_len_);
+    for (int i = 0; i < 8; ++i) {
+        buffer_[kLengthAt + static_cast<std::size_t>(i)] =
+            static_cast<std::uint8_t>(bit_len >> (8 * i));  // little-endian
+    }
+    process_block(buffer_);
+    buffer_len_ = 0;
 
     std::array<std::uint8_t, kDigestSize> out{};
     for (int i = 0; i < 4; ++i) {

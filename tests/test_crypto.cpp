@@ -1,7 +1,12 @@
 // Unit tests for the crypto substrate: digests against published test
-// vectors, bignum arithmetic properties, RSA round-trips and tamper
-// rejection, HMAC vectors, and signed-envelope chains.
+// vectors, the dispatched SHA-256 kernel against the portable one, bignum
+// arithmetic properties, RSA round-trips and tamper rejection, HMAC vectors,
+// the verify memo's counters (also under concurrent callers), and
+// signed-envelope chains.
 #include <gtest/gtest.h>
+
+#include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "crypto/biguint.hpp"
@@ -115,9 +120,112 @@ TEST(Sha256, IncrementalMatchesOneShot) {
     EXPECT_EQ(to_hex(Bytes(digest.begin(), digest.end())), to_hex(sha256(data)));
 }
 
+TEST(Sha256, FinishPadsAcrossTheLengthBoundary) {
+    // 55 bytes fit padding and length in one block; 56..63 need a second.
+    EXPECT_EQ(to_hex(sha256(Bytes(55, 0x61))),
+              "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318");
+    EXPECT_EQ(to_hex(sha256(Bytes(56, 0x61))),
+              "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a");
+    EXPECT_EQ(to_hex(sha256(Bytes(64, 0x61))),
+              "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb");
+}
+
+Bytes random_bytes(Rng& rng, std::size_t n) {
+    Bytes out(n);
+    for (auto& b : out) b = static_cast<std::uint8_t>(rng.next());
+    return out;
+}
+
+// SHA-256 of `data` computed without Sha256: padded by hand (FIPS 180-4
+// §5.1.1) and compressed by the portable kernel alone.
+std::array<std::uint8_t, Sha256::kDigestSize> portable_digest(std::span<const std::uint8_t> data) {
+    Bytes padded(data.begin(), data.end());
+    padded.push_back(0x80);
+    while (padded.size() % Sha256::kBlockSize != 56) padded.push_back(0);
+    const std::uint64_t bits = data.size() * 8;
+    for (int i = 7; i >= 0; --i) padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+    std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+    detail::sha256_blocks_portable(state, padded.data(), padded.size() / Sha256::kBlockSize);
+    std::array<std::uint8_t, Sha256::kDigestSize> out{};
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        out[i] = static_cast<std::uint8_t>(state[i / 4] >> (8 * (3 - i % 4)));
+    }
+    return out;
+}
+
+TEST(Sha256, DispatchedKernelMatchesPortableAtEveryLengthAndSplit) {
+    Rng rng(4231);
+    std::vector<std::size_t> lengths;
+    for (std::size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+    lengths.push_back(4096 + 17);
+    for (const std::size_t n : lengths) {
+        const Bytes data = random_bytes(rng, n);
+        // update() at seeded random split points, so every buffered/whole-block
+        // path and every block offset is crossed.
+        Sha256 h;
+        std::size_t pos = 0;
+        while (pos < n) {
+            const std::size_t take = std::min<std::size_t>(1 + rng.uniform(150), n - pos);
+            h.update(std::span(data).subspan(pos, take));
+            pos += take;
+        }
+        EXPECT_EQ(h.finish(), portable_digest(data)) << "length " << n;
+    }
+}
+
+TEST(Sha256, BlocksMatchesPortableFromArbitraryStates) {
+    Rng rng(180);
+    for (const std::size_t n : {1u, 2u, 3u, 17u, 64u}) {
+        const Bytes data = random_bytes(rng, n * Sha256::kBlockSize);
+        std::uint32_t dispatched[8], portable[8];
+        for (int i = 0; i < 8; ++i) dispatched[i] = portable[i] = static_cast<std::uint32_t>(rng.next());
+        Sha256::blocks(dispatched, data.data(), n);
+        detail::sha256_blocks_portable(portable, data.data(), n);
+        for (int i = 0; i < 8; ++i) EXPECT_EQ(dispatched[i], portable[i]) << n << " blocks, word " << i;
+    }
+}
+
+TEST(Sha256, ResetAfterFinishStartsOver) {
+    Sha256 h;
+    h.update(Bytes(100, 0x01));
+    (void)h.finish();
+    h.reset();
+    h.update(B("abc"));
+    EXPECT_EQ(to_hex(h.finish()),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
 // ---------------------------------------------------------------------------
 // HMAC (RFC 4231 / RFC 2202 vectors)
 // ---------------------------------------------------------------------------
+
+// The same vectors through the precomputed-pad path: one HmacSha256 object
+// per key, several tags from it, none disturbing the saved pad states.
+TEST(Hmac, PrecomputedPadsMatchRfc4231) {
+    const HmacSha256 case1(Bytes(20, 0x0b));
+    const HmacSha256 case2(B("Jefe"));
+    const HmacSha256 long_key(Bytes(131, 0xaa));
+    for (int round = 0; round < 3; ++round) {
+        EXPECT_EQ(to_hex(case1.tag(B("Hi There"))),
+                  "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+        EXPECT_EQ(to_hex(case2.tag(B("what do ya want for nothing?"))),
+                  "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+        EXPECT_EQ(to_hex(long_key.tag(B("Test Using Larger Than Block-Size Key - Hash Key First"))),
+                  "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+    }
+}
+
+TEST(Hmac, PrecomputedPadsMatchOneShotAtManyLengths) {
+    Rng rng(2104);
+    const Bytes key = random_bytes(rng, 32);
+    const HmacSha256 mac(key);
+    for (std::size_t n = 0; n <= 200; n += 7) {
+        const Bytes data = random_bytes(rng, n);
+        const auto t = mac.tag(data);
+        EXPECT_EQ(Bytes(t.begin(), t.end()), hmac_sha256(key, data)) << "length " << n;
+    }
+}
 
 TEST(Hmac, Sha256Rfc4231Case1) {
     const Bytes key(20, 0x0b);
@@ -446,6 +554,101 @@ INSTANTIATE_TEST_SUITE_P(Backends, KeyServiceTest,
                              return info.param == crypto::KeyService::Backend::kHmac ? "Hmac"
                                                                                      : "Rsa";
                          });
+
+// ---------------------------------------------------------------------------
+// KeyService::verify_cached memo
+// ---------------------------------------------------------------------------
+
+TEST(VerifyCached, HitAfterMiss) {
+    KeyService keys(KeyService::Backend::kHmac, 512, 20);
+    keys.register_principal("p");
+    const Bytes msg = B("ordered 7");
+    const Bytes sig = keys.signer("p").sign(msg);
+    EXPECT_TRUE(keys.verify_cached("p", msg, sig));
+    EXPECT_EQ(keys.verify_ops(), 1u);
+    EXPECT_EQ(keys.verify_cache_hits(), 0u);
+    EXPECT_TRUE(keys.verify_cached("p", msg, sig));
+    EXPECT_EQ(keys.verify_ops(), 1u);
+    EXPECT_EQ(keys.verify_cache_hits(), 1u);
+}
+
+TEST(VerifyCached, TamperedSignatureIsMemoizedAsFalse) {
+    KeyService keys(KeyService::Backend::kHmac, 512, 21);
+    keys.register_principal("p");
+    const Bytes msg = B("ordered 8");
+    const Bytes sig = keys.signer("p").sign(msg);
+    Bytes bad = sig;
+    bad[3] ^= 0x10;
+    EXPECT_FALSE(keys.verify_cached("p", msg, bad));
+    EXPECT_FALSE(keys.verify_cached("p", msg, bad));
+    EXPECT_EQ(keys.verify_ops(), 1u);
+    EXPECT_EQ(keys.verify_cache_hits(), 1u);
+    // The genuine signature is a different memo key: a fresh, true verify.
+    EXPECT_TRUE(keys.verify_cached("p", msg, sig));
+    EXPECT_EQ(keys.verify_ops(), 2u);
+    // Moving a byte between message and signature is a different key too.
+    Bytes shifted_msg = msg;
+    shifted_msg.push_back(sig[0]);
+    EXPECT_FALSE(keys.verify_cached("p", shifted_msg, std::span(sig).subspan(1)));
+    EXPECT_EQ(keys.verify_ops(), 3u);
+}
+
+TEST(VerifyCached, RotationForcesReverify) {
+    KeyService keys(KeyService::Backend::kHmac, 512, 22);
+    keys.register_principal("p");
+    keys.register_principal("q");
+    const Bytes msg = B("view 3");
+    const Bytes sig_p = keys.signer("p").sign(msg);
+    const Bytes sig_q = keys.signer("q").sign(msg);
+    EXPECT_TRUE(keys.verify_cached("p", msg, sig_p));
+    EXPECT_TRUE(keys.verify_cached("q", msg, sig_q));
+    keys.rotate_principal("p");
+    // Old-key signature is re-checked under the new key, not served from the memo.
+    EXPECT_FALSE(keys.verify_cached("p", msg, sig_p));
+    EXPECT_EQ(keys.verify_ops(), 3u);
+    EXPECT_EQ(keys.verify_cache_hits(), 0u);
+    // Other principals keep their memo.
+    EXPECT_TRUE(keys.verify_cached("q", msg, sig_q));
+    EXPECT_EQ(keys.verify_cache_hits(), 1u);
+    // Unknown principals fail without counting.
+    EXPECT_FALSE(keys.verify_cached("ghost", msg, sig_p));
+    EXPECT_EQ(keys.verify_ops() + keys.verify_cache_hits(), 4u);
+}
+
+TEST(VerifyCached, ConcurrentCallersCountEveryCallOnce) {
+    KeyService keys(KeyService::Backend::kHmac, 512, 23);
+    keys.register_principal("a");
+    keys.register_principal("b");
+    constexpr int kThreads = 4;
+    constexpr int kCalls = 10000;
+    constexpr int kMessages = 64;
+    std::vector<Bytes> messages, sigs;
+    for (int i = 0; i < kMessages; ++i) {
+        messages.push_back(bytes_of("m" + std::to_string(i)));
+        sigs.push_back(keys.signer(i % 2 == 0 ? "a" : "b").sign(messages.back()));
+    }
+    std::vector<int> wrong(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            Rng rng(static_cast<std::uint64_t>(100 + t));
+            for (int c = 0; c < kCalls; ++c) {
+                const auto i = static_cast<std::size_t>(rng.uniform(kMessages));
+                // Every fourth call asks the wrong principal: a memoized false.
+                const bool honest = rng.uniform(4) != 0;
+                const std::string name = ((i % 2 == 0) == honest) ? "a" : "b";
+                if (keys.verify_cached(name, messages[i], sigs[i]) != honest) ++wrong[t];
+            }
+        });
+    }
+    for (auto& th : threads) th.join();
+    for (int t = 0; t < kThreads; ++t) EXPECT_EQ(wrong[t], 0) << "thread " << t;
+    EXPECT_EQ(keys.verify_ops() + keys.verify_cache_hits(),
+              static_cast<std::uint64_t>(kThreads * kCalls));
+    // At most one miss per (principal, message) per racing thread.
+    EXPECT_GE(keys.verify_ops(), static_cast<std::uint64_t>(kMessages));
+    EXPECT_LE(keys.verify_ops(), static_cast<std::uint64_t>(2 * kMessages * kThreads));
+}
 
 TEST(SignedEnvelope, DoubleSignedValidation) {
     KeyService keys(KeyService::Backend::kHmac, 512, 10);
