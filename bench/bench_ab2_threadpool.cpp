@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
             if (cli.payload_size > 0) cfg.payload_size = cli.payload_size;
             if (cli.seed_set) cfg.seed = cli.seed;
             cfg.thread_pool = p;
-            cfg.system = System::kNewTop;
+            cfg.system = SystemKind::kNewTop;
             configs.push_back(cfg);
         }
     }

@@ -34,9 +34,9 @@ int main(int argc, char** argv) {
             if (cli.payload_size > 0) cfg.payload_size = cli.payload_size;
             if (cli.seed_set) cfg.seed = cli.seed;
             cfg.service = svc;
-            cfg.system = System::kNewTop;
+            cfg.system = SystemKind::kNewTop;
             configs.push_back(cfg);
-            cfg.system = System::kFsNewTop;
+            cfg.system = SystemKind::kFsNewTop;
             configs.push_back(cfg);
         }
     }

@@ -9,8 +9,8 @@
 //      excludes a crashed member, as a function of the ping suspector's
 //      timeout — plus the false-suspicion rate the same timeout produces
 //      under a delay surge with NO failure (the cost of guessing).
-#include "fsnewtop/deployment.hpp"
-#include "newtop/deployment.hpp"
+#include "deploy/fsnewtop.hpp"
+#include "deploy/newtop.hpp"
 #include "scenario/cli.hpp"
 #include "scenario/report.hpp"
 
@@ -23,80 +23,77 @@ namespace {
 /// (a) FS-NewTOP: inject output corruption at member 2's follower node at
 /// t=inject; return time until members 0 and 1 both install {0,1}.
 Duration fs_detection_time(Duration delta, Duration slack, std::uint64_t seed) {
-    fsnewtop::FsNewTopOptions opts;
-    opts.group_size = 3;
-    opts.seed = seed;
-    opts.fs_config.delta = delta;
-    opts.fs_config.compare_slack = slack;
-    fsnewtop::FsNewTopDeployment d(opts);
+    deploy::DeploymentSpec spec;
+    spec.group_size = 3;
+    spec.seed = seed;
+    spec.fs_config.delta = delta;
+    spec.fs_config.compare_slack = slack;
+    deploy::FsNewTopDeployment d(spec);
 
     // Warm up with traffic, then turn node faulty.
-    for (int i = 0; i < 3; ++i) {
-        d.invocation(i).multicast(newtop::ServiceType::kSymmetricTotalOrder, bytes_of("warm"));
-    }
-    d.sim().run();
+    for (int i = 0; i < 3; ++i) d.submit(i, bytes_of("warm"));
+    d.run();
 
-    const TimePoint inject = d.sim().now();
+    const TimePoint inject = d.now();
     fs::FaultPlan plan;
     plan.corrupt_outputs = true;
-    d.follower_fso(2).set_fault_plan(plan);
-    d.invocation(0).multicast(newtop::ServiceType::kSymmetricTotalOrder, bytes_of("trigger"));
+    d.inject_fault({.member = 2, .at_leader = false, .plan = plan});
+    d.submit(0, bytes_of("trigger"));
 
     TimePoint detected = -1;
-    while (d.sim().now() < inject + 120 * kSecond) {
+    while (d.now() < inject + 120 * kSecond) {
         if (!d.sim().step()) break;
         if (d.gc_leader(0).view().members == std::vector<newtop::MemberId>{0, 1} &&
             d.gc_leader(1).view().members == std::vector<newtop::MemberId>{0, 1}) {
-            detected = d.sim().now();
+            detected = d.now();
             break;
         }
     }
     return detected < 0 ? -1 : detected - inject;
 }
 
+/// Three NewTOP members with 50 ms pings and the given suspect timeout.
+deploy::DeploymentSpec newtop_spec(Duration suspect_timeout, std::uint64_t seed) {
+    deploy::DeploymentSpec spec;
+    spec.group_size = 3;
+    spec.seed = seed;
+    spec.start_suspectors = true;
+    spec.suspector.ping_interval = 50 * kMillisecond;
+    spec.suspector.suspect_timeout = suspect_timeout;
+    return spec;
+}
+
 /// (b) NewTOP: crash member 2 at t=crash; return detection time, or measure
 /// false suspicions under a delay surge when nothing crashed.
 Duration newtop_detection_time(Duration suspect_timeout, std::uint64_t seed) {
-    newtop::NewTopOptions opts;
-    opts.group_size = 3;
-    opts.seed = seed;
-    opts.start_suspectors = true;
-    opts.suspector.ping_interval = 50 * kMillisecond;
-    opts.suspector.suspect_timeout = suspect_timeout;
-    newtop::NewTopDeployment d(opts);
+    deploy::NewTopDeployment d(newtop_spec(suspect_timeout, seed));
 
-    d.sim().run_until(300 * kMillisecond);
-    const TimePoint crash = d.sim().now();
+    d.run_until(300 * kMillisecond);
+    const TimePoint crash = d.now();
     d.faults().block(d.node_of(2), d.node_of(0));
     d.faults().block(d.node_of(2), d.node_of(1));
 
     TimePoint detected = -1;
-    while (d.sim().now() < crash + 60 * kSecond) {
-        d.sim().run_until(d.sim().now() + 10 * kMillisecond);
+    while (d.now() < crash + 60 * kSecond) {
+        d.run_until(d.now() + 10 * kMillisecond);
         if (d.gc(0).view().members == std::vector<newtop::MemberId>{0, 1} &&
             d.gc(1).view().members == std::vector<newtop::MemberId>{0, 1}) {
-            detected = d.sim().now();
+            detected = d.now();
             break;
         }
     }
-    d.stop_suspectors();
+    d.stop_perpetual();
     return detected < 0 ? -1 : detected - crash;
 }
 
 bool newtop_splits_under_surge(Duration suspect_timeout, Duration surge, std::uint64_t seed) {
-    newtop::NewTopOptions opts;
-    opts.group_size = 3;
-    opts.seed = seed;
-    opts.start_suspectors = true;
-    opts.suspector.ping_interval = 50 * kMillisecond;
-    opts.suspector.suspect_timeout = suspect_timeout;
-    newtop::NewTopDeployment d(opts);
+    deploy::NewTopDeployment d(newtop_spec(suspect_timeout, seed));
 
-    d.sim().run_until(300 * kMillisecond);
-    d.faults().delay_surge(surge, d.sim().now() + 3 * kSecond);
-    d.sim().run_until(d.sim().now() + 8 * kSecond);
-    d.stop_suspectors();
-    d.sim().run();
+    d.run_until(300 * kMillisecond);
+    d.faults().delay_surge(surge, d.now() + 3 * kSecond);
+    d.run_until(d.now() + 8 * kSecond);
+    d.stop_perpetual();
+    d.run();
     return d.gc(0).view().members.size() < 3 || d.gc(1).view().members.size() < 3 ||
            d.gc(2).view().members.size() < 3;
 }

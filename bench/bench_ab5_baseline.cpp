@@ -13,7 +13,8 @@
 //     pair announces its own failure, no guessing).
 #include <cstdio>
 
-#include "baseline/deployment.hpp"
+#include "deploy/fsnewtop.hpp"
+#include "deploy/pbft.hpp"
 #include "harness.hpp"
 #include "sim/stats.hpp"
 
@@ -26,50 +27,33 @@ struct BaselineResult {
     double msgs_per_request;
 };
 
-BaselineResult run_pbft(std::uint32_t replicas, int requests, std::uint64_t seed) {
-    baseline::PbftOptions opts;
-    opts.replicas = replicas;
-    opts.seed = seed;
-    baseline::PbftDeployment d(opts);
-
-    // Warm-up request, then measure a batch.
-    d.submit(0, bytes_of("warm"));
-    d.sim().run();
-    d.network().reset_stats();
-
-    sim::Stats latency;
-    for (int i = 0; i < requests; ++i) {
-        const TimePoint start = d.sim().now();
-        d.submit(static_cast<baseline::ReplicaId>(
-                     static_cast<std::uint32_t>(i) % replicas),
-                 bytes_of("req"));
-        d.sim().run();
-        latency.add(static_cast<double>(d.sim().now() - start) / kMillisecond);
-    }
-    return {latency.mean(),
-            static_cast<double>(d.network().messages_sent()) / requests};
+/// The stack's spec for this bench. PBFT runs on 10 CPUs per node and
+/// FS-NewTOP on the paper's 2 (see DeploymentSpec::threads_per_node).
+deploy::DeploymentSpec spec_of(scenario::SystemKind system, int group, std::uint64_t seed) {
+    deploy::DeploymentSpec spec;
+    spec.group_size = group;
+    spec.seed = seed;
+    if (system == scenario::SystemKind::kPbft) spec.threads_per_node = 10;
+    return spec;
 }
 
-BaselineResult run_fsnewtop(int group, int requests, std::uint64_t seed) {
-    fsnewtop::FsNewTopOptions opts;
-    opts.group_size = group;
-    opts.seed = seed;
-    fsnewtop::FsNewTopDeployment d(opts);
-
-    d.invocation(0).multicast(newtop::ServiceType::kSymmetricTotalOrder, bytes_of("warm"));
-    d.sim().run();
-    d.network().reset_stats();
+/// Warm-up request, then one request at a time from rotating members.
+BaselineResult measure(scenario::SystemKind system, int group, int requests,
+                       std::uint64_t seed) {
+    const auto d = deploy::make_deployment(system, spec_of(system, group, seed));
+    d->submit(0, bytes_of("warm"));
+    d->run();
+    d->network().reset_stats();
 
     sim::Stats latency;
     for (int i = 0; i < requests; ++i) {
-        const TimePoint start = d.sim().now();
-        d.invocation(i % group).multicast(newtop::ServiceType::kSymmetricTotalOrder,
-                                          bytes_of("req"));
-        d.sim().run();
-        latency.add(static_cast<double>(d.sim().now() - start) / kMillisecond);
+        const TimePoint start = d->now();
+        d->submit(i % group, bytes_of("req"));
+        d->run();
+        latency.add(static_cast<double>(d->now() - start) / kMillisecond);
     }
     return {latency.mean(),
-            static_cast<double>(d.network().messages_sent()) / requests};
+            static_cast<double>(d->network().messages_sent()) / requests};
 }
 
 }  // namespace
@@ -101,8 +85,9 @@ int main(int argc, char** argv) {
         const int fs_group = static_cast<int>(2 * f + 1);
         const int fs_nodes = 4 * static_cast<int>(f) + 2;
 
-        const auto pbft = run_pbft(pbft_n, requests, seed);
-        const auto fsnt = run_fsnewtop(fs_group, requests, seed);
+        const auto pbft =
+            measure(scenario::SystemKind::kPbft, static_cast<int>(pbft_n), requests, seed);
+        const auto fsnt = measure(scenario::SystemKind::kFsNewTop, fs_group, requests, seed);
 
         std::printf("%-4u n=%-2u nodes=%-12u g=%-2d nodes=%-12d %-14.1f %-14.1f %-12.1f %-12.1f\n",
                     f, pbft_n, pbft_n, fs_group, fs_nodes, pbft.latency_ms, fsnt.latency_ms,
@@ -124,34 +109,32 @@ int main(int argc, char** argv) {
     // Liveness contrast.
     std::printf("\nLiveness when a key component goes silent:\n");
     {
-        baseline::PbftOptions opts;
-        opts.replicas = 4;
-        opts.seed = seed;
-        baseline::PbftDeployment d(opts);
-        for (baseline::ReplicaId r = 1; r < 4; ++r) {
-            d.faults().block(d.node_of(0), d.node_of(r));  // primary silent
-        }
+        deploy::PbftDeployment d(spec_of(scenario::SystemKind::kPbft, 4, seed));
+        std::size_t delivered_at_1 = 0;
+        deploy::Observers observers;
+        observers.delivered = [&delivered_at_1](int replica, const Bytes&) {
+            if (replica == 1) ++delivered_at_1;
+        };
+        d.attach(std::move(observers));
+        d.crash(0);  // primary silent
         d.submit(1, bytes_of("stuck"));
-        d.sim().run();
-        const bool stalled = d.delivered(1).empty();
+        d.run();
+        const bool stalled = delivered_at_1 == 0;
         d.fire_timeouts();
-        d.sim().run();
+        d.run();
         std::printf("  PBFT: primary silent -> %s; after timeout view-change -> delivered=%zu "
                     "(progress REQUIRES a timeout)\n",
-                    stalled ? "stalled (nothing delivered)" : "progressed?!",
-                    d.delivered(1).size());
+                    stalled ? "stalled (nothing delivered)" : "progressed?!", delivered_at_1);
     }
     {
-        fsnewtop::FsNewTopOptions opts;
-        opts.group_size = 3;
-        opts.seed = seed;
-        opts.placement = fsnewtop::Placement::kFull;
-        fsnewtop::FsNewTopDeployment d(opts);
-        d.invocation(0).multicast(newtop::ServiceType::kSymmetricTotalOrder, bytes_of("warm"));
-        d.sim().run();
+        deploy::DeploymentSpec spec = spec_of(scenario::SystemKind::kFsNewTop, 3, seed);
+        spec.placement = fsnewtop::Placement::kFull;
+        deploy::FsNewTopDeployment d(spec);
+        d.submit(0, bytes_of("warm"));
+        d.run();
         d.faults().block(NodeId{3}, NodeId{4});  // member 1's pair link dies
-        d.invocation(0).multicast(newtop::ServiceType::kSymmetricTotalOrder, bytes_of("go"));
-        d.sim().run_until(d.sim().now() + 120 * kSecond);
+        d.submit(0, bytes_of("go"));
+        d.run_until(d.now() + 120 * kSecond);
         const bool excluded =
             d.gc_leader(0).view().members == std::vector<newtop::MemberId>{0, 2};
         std::printf("  FS-NewTOP: pair broken -> fail-signal announced, survivors' view %s "

@@ -28,9 +28,9 @@ int main(int argc, char** argv) {
         cfg.msgs_per_member = cli.msgs_per_member > 0 ? cli.msgs_per_member : 40;
         cfg.payload_size = cli.payload_size > 0 ? cli.payload_size : 3;
         if (cli.seed_set) cfg.seed = cli.seed;
-        cfg.system = System::kNewTop;
+        cfg.system = SystemKind::kNewTop;
         configs.push_back(cfg);
-        cfg.system = System::kFsNewTop;
+        cfg.system = SystemKind::kFsNewTop;
         configs.push_back(cfg);
     }
     const auto reports = run_experiment_reports(configs, cli.jobs);

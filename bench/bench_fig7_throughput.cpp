@@ -37,9 +37,9 @@ int main(int argc, char** argv) {
             cfg.payload_size = cli.payload_size > 0 ? cli.payload_size : 3;
             if (cli.seed_set) cfg.seed = cli.seed;
             cfg.batch.max_requests = b;
-            cfg.system = System::kNewTop;
+            cfg.system = SystemKind::kNewTop;
             configs.push_back(cfg);
-            cfg.system = System::kFsNewTop;
+            cfg.system = SystemKind::kFsNewTop;
             configs.push_back(cfg);
         }
     }

@@ -31,9 +31,9 @@ int main(int argc, char** argv) {
         cfg.send_interval = 40 * kMillisecond;
         cfg.payload_size = static_cast<std::size_t>(kb) * 1024;
         if (cfg.payload_size < 8) cfg.payload_size = 8;  // room for the latency tag
-        cfg.system = System::kNewTop;
+        cfg.system = SystemKind::kNewTop;
         configs.push_back(cfg);
-        cfg.system = System::kFsNewTop;
+        cfg.system = SystemKind::kFsNewTop;
         configs.push_back(cfg);
     }
     const auto reports = run_experiment_reports(configs, cli.jobs);

@@ -26,12 +26,10 @@
 
 namespace failsig::bench {
 
-enum class System { kNewTop, kFsNewTop };
-
-inline const char* name_of(System s) { return s == System::kNewTop ? "NewTOP" : "FS-NewTOP"; }
+using scenario::SystemKind;
 
 struct ExperimentConfig {
-    System system{System::kNewTop};
+    SystemKind system{SystemKind::kNewTop};
     int group_size{3};
     int msgs_per_member{50};
     std::size_t payload_size{3};  // paper: 3-byte messages
@@ -58,9 +56,8 @@ struct ExperimentResult {
 /// The declarative form of a §4 measurement run.
 inline scenario::Scenario make_scenario(const ExperimentConfig& cfg) {
     scenario::Scenario s;
-    s.name = std::string(name_of(cfg.system)) + "/n" + std::to_string(cfg.group_size);
-    s.system = cfg.system == System::kNewTop ? scenario::SystemKind::kNewTop
-                                             : scenario::SystemKind::kFsNewTop;
+    s.name = std::string(scenario::name_of(cfg.system)) + "/n" + std::to_string(cfg.group_size);
+    s.system = cfg.system;
     s.group_size = cfg.group_size;
     s.seed = cfg.seed;
     s.threads_per_node = cfg.thread_pool;

@@ -13,11 +13,9 @@
 #include <cstdio>
 #include <deque>
 
-#include "fsnewtop/deployment.hpp"
+#include "deploy/fsnewtop.hpp"
 
 using namespace failsig;
-using newtop::Delivery;
-using newtop::ServiceType;
 
 namespace {
 
@@ -58,34 +56,36 @@ Bytes order(const std::string& party, const std::string& side, std::int64_t qty)
 
 int main() {
     constexpr int kMembers = 3;
-    fsnewtop::FsNewTopOptions opts;
-    opts.group_size = kMembers;
-    fsnewtop::FsNewTopDeployment d(opts);
+    deploy::DeploymentSpec spec;
+    spec.group_size = kMembers;
+    deploy::FsNewTopDeployment d(spec);
 
     OrderBook books[kMembers];
     std::vector<newtop::GroupView> views;
-    for (int i = 0; i < kMembers; ++i) {
-        d.invocation(i).on_delivery([&books, i](const Delivery& dl) {
-            books[i].apply(dl.payload);
-        });
-    }
-    d.invocation(0).on_view([&](const newtop::GroupView& v) { views.push_back(v); });
+    deploy::Observers observers;
+    observers.delivered = [&books](int member, const Bytes& payload) {
+        books[member].apply(payload);
+    };
+    observers.view_installed = [&views](int member, const newtop::GroupView& v) {
+        if (member == 0) views.push_back(v);
+    };
+    d.attach(std::move(observers));
 
     std::printf("--- phase 1: normal trading ---\n");
-    d.invocation(0).multicast(ServiceType::kSymmetricTotalOrder, order("acme", "SELL", 50));
-    d.invocation(1).multicast(ServiceType::kSymmetricTotalOrder, order("globex", "SELL", 30));
-    d.invocation(2).multicast(ServiceType::kSymmetricTotalOrder, order("initech", "BUY", 60));
-    d.sim().run();
+    d.submit(0, order("acme", "SELL", 50));
+    d.submit(1, order("globex", "SELL", 30));
+    d.submit(2, order("initech", "BUY", 60));
+    d.run();
 
     std::printf("--- phase 2: member 1's GC node turns Byzantine (corrupts outputs) ---\n");
     fs::FaultPlan plan;
     plan.corrupt_outputs = true;
-    d.leader_fso(1).set_fault_plan(plan);
+    d.inject_fault({.member = 1, .at_leader = true, .plan = plan});
 
-    d.invocation(0).multicast(ServiceType::kSymmetricTotalOrder, order("acme", "SELL", 40));
-    d.invocation(2).multicast(ServiceType::kSymmetricTotalOrder, order("initech", "BUY", 45));
-    d.sim().run_until(d.sim().now() + 120 * kSecond);
-    d.sim().run();
+    d.submit(0, order("acme", "SELL", 40));
+    d.submit(2, order("initech", "BUY", 45));
+    d.run_until(d.now() + 120 * kSecond);
+    d.run();
 
     std::printf("--- results ---\n");
     for (const int i : {0, 2}) {  // the survivors

@@ -11,8 +11,8 @@
 // Run: ./partition_demo
 #include <cstdio>
 
-#include "fsnewtop/deployment.hpp"
-#include "newtop/deployment.hpp"
+#include "deploy/fsnewtop.hpp"
+#include "deploy/newtop.hpp"
 
 using namespace failsig;
 
@@ -22,21 +22,21 @@ int main() {
 
     std::printf("--- crash-tolerant NewTOP (ping suspector, 200 ms timeout) ---\n");
     {
-        newtop::NewTopOptions opts;
-        opts.group_size = kMembers;
-        opts.start_suspectors = true;
-        opts.suspector.ping_interval = 50 * kMillisecond;
-        opts.suspector.suspect_timeout = 200 * kMillisecond;
-        newtop::NewTopDeployment d(opts);
+        deploy::DeploymentSpec spec;
+        spec.group_size = kMembers;
+        spec.start_suspectors = true;
+        spec.suspector.ping_interval = 50 * kMillisecond;
+        spec.suspector.suspect_timeout = 200 * kMillisecond;
+        deploy::NewTopDeployment d(spec);
 
-        d.sim().run_until(500 * kMillisecond);
+        d.run_until(500 * kMillisecond);
         std::printf("before surge: view at member 0 = %s\n",
                     newtop::to_string(d.gc(0).view()).c_str());
 
-        d.faults().delay_surge(kSurge, d.sim().now() + 2 * kSecond);
-        d.sim().run_until(d.sim().now() + 8 * kSecond);
-        d.stop_suspectors();
-        d.sim().run();
+        d.faults().delay_surge(kSurge, d.now() + 2 * kSecond);
+        d.run_until(d.now() + 8 * kSecond);
+        d.stop_perpetual();
+        d.run();
 
         for (int i = 0; i < kMembers; ++i) {
             std::printf("after surge:  view at member %d = %s\n", i,
@@ -48,19 +48,19 @@ int main() {
 
     std::printf("--- FS-NewTOP (fail-signal suspector; suspicions cannot be false) ---\n");
     {
-        fsnewtop::FsNewTopOptions opts;
-        opts.group_size = kMembers;
-        fsnewtop::FsNewTopDeployment d(opts);
+        deploy::DeploymentSpec spec;
+        spec.group_size = kMembers;
+        deploy::FsNewTopDeployment d(spec);
 
-        d.invocation(0).multicast(newtop::ServiceType::kSymmetricTotalOrder, bytes_of("before"));
-        d.sim().run();
+        d.submit(0, bytes_of("before"));
+        d.run();
         std::printf("before surge: view at member 0 = %s\n",
                     newtop::to_string(d.gc_leader(0).view()).c_str());
 
-        d.faults().delay_surge(kSurge, d.sim().now() + 2 * kSecond);
-        d.invocation(1).multicast(newtop::ServiceType::kSymmetricTotalOrder, bytes_of("during"));
-        d.sim().run_until(d.sim().now() + 8 * kSecond);
-        d.sim().run();
+        d.faults().delay_surge(kSurge, d.now() + 2 * kSecond);
+        d.submit(1, bytes_of("during"));
+        d.run_until(d.now() + 8 * kSecond);
+        d.run();
 
         for (int i = 0; i < kMembers; ++i) {
             std::printf("after surge:  view at member %d = %s%s\n", i,

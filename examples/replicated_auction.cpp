@@ -12,11 +12,9 @@
 #include <cstdio>
 #include <map>
 
-#include "fsnewtop/deployment.hpp"
+#include "deploy/fsnewtop.hpp"
 
 using namespace failsig;
-using newtop::Delivery;
-using newtop::ServiceType;
 
 namespace {
 
@@ -51,16 +49,16 @@ Bytes bid(const std::string& bidder, std::int64_t amount) {
 
 int main() {
     constexpr int kMembers = 3;
-    fsnewtop::FsNewTopOptions opts;
-    opts.group_size = kMembers;
-    fsnewtop::FsNewTopDeployment d(opts);
+    deploy::DeploymentSpec spec;
+    spec.group_size = kMembers;
+    deploy::FsNewTopDeployment d(spec);
 
     AuctionState replicas[kMembers];
-    for (int i = 0; i < kMembers; ++i) {
-        d.invocation(i).on_delivery([&replicas, i](const Delivery& dl) {
-            replicas[i].apply(dl.payload);
-        });
-    }
+    deploy::Observers observers;
+    observers.delivered = [&replicas](int member, const Bytes& payload) {
+        replicas[member].apply(payload);
+    };
+    d.attach(std::move(observers));
 
     // Bidders race from different members; amounts deliberately interleave.
     struct Submission {
@@ -72,11 +70,8 @@ int main() {
         {0, "alice", 100}, {1, "bob", 120},  {2, "carol", 110}, {0, "alice", 130},
         {2, "carol", 130} /* tie with alice's 130 */, {1, "bob", 125},
     };
-    for (const auto& s : submissions) {
-        d.invocation(s.member).multicast(ServiceType::kSymmetricTotalOrder,
-                                         bid(s.bidder, s.amount));
-    }
-    d.sim().run();
+    for (const auto& s : submissions) d.submit(s.member, bid(s.bidder, s.amount));
+    d.run();
 
     std::printf("auction closed after %d bids\n", replicas[0].bids_processed);
     for (int i = 0; i < kMembers; ++i) {

@@ -1,9 +1,6 @@
 #include "deploy/deployment.hpp"
 
-#include <map>
-#include <mutex>
 #include <set>
-#include <shared_mutex>
 #include <utility>
 
 #include "common/result.hpp"
@@ -104,79 +101,32 @@ void Deployment::stop_perpetual_member(int) {}
 
 bool Deployment::supports_host_faults() const { return true; }
 
-namespace {
-
-struct Registration {
-    DeploymentFactory factory;
-    SystemTraits traits;
-};
-
-/// The three built-in stacks are installed in the registry's own (thread-
-/// safe, once-only) initializer — not via per-TU static initializers a
-/// static-library link could drop, and before any external
-/// register_deployment call can complete, so replacements always win.
-std::map<SystemKind, Registration> make_builtin_registrations() {
-    std::map<SystemKind, Registration> builtins;
-    builtins[SystemKind::kNewTop] = Registration{
-        [](const DeploymentSpec& spec) -> std::unique_ptr<Deployment> {
-            return std::make_unique<NewTopDeployment>(spec);
-        },
-        SystemTraits{}};
-    builtins[SystemKind::kFsNewTop] = Registration{
-        [](const DeploymentSpec& spec) -> std::unique_ptr<Deployment> {
-            return std::make_unique<FsNewTopDeployment>(spec);
-        },
-        SystemTraits{}};
-    builtins[SystemKind::kPbft] = Registration{
-        [](const DeploymentSpec& spec) -> std::unique_ptr<Deployment> {
-            return std::make_unique<PbftDeployment>(spec);
-        },
-        SystemTraits{4, "PBFT needs group_size >= 4 (3f+1 with f >= 1)"}};
-    return builtins;
+SystemTraits traits_of(SystemKind system) {
+    switch (system) {
+        case SystemKind::kNewTop:
+        case SystemKind::kFsNewTop: return {};
+        case SystemKind::kPbft: return {4, "PBFT needs group_size >= 4 (3f+1 with f >= 1)"};
+    }
+    throw std::logic_error("deploy: unknown system");
 }
-
-std::map<SystemKind, Registration>& registry() {
-    static std::map<SystemKind, Registration> instance = make_builtin_registrations();
-    return instance;
-}
-
-// Sweep workers read the registry concurrently; a late register_deployment
-// (fourth-system plugin) must not race them.
-std::shared_mutex& registry_mutex() {
-    static std::shared_mutex instance;
-    return instance;
-}
-
-/// Copies the registration out under the lock: references into the map must
-/// not escape while writers may rehash it.
-Registration find(SystemKind system) {
-    const std::shared_lock lock(registry_mutex());
-    const auto it = registry().find(system);
-    ensure(it != registry().end(), "deploy: no deployment registered for this system");
-    return it->second;
-}
-
-}  // namespace
-
-void register_deployment(SystemKind system, DeploymentFactory factory, SystemTraits traits) {
-    const std::unique_lock lock(registry_mutex());
-    registry()[system] = Registration{std::move(factory), traits};
-}
-
-SystemTraits traits_of(SystemKind system) { return find(system).traits; }
 
 std::unique_ptr<Deployment> make_deployment(SystemKind system, const DeploymentSpec& spec) {
-    const Registration reg = find(system);
+    const SystemTraits traits = traits_of(system);
     ensure(spec.group_size >= 1, "deploy: group_size must be >= 1");
-    if (spec.group_size < reg.traits.min_group_size) {
+    if (spec.group_size < traits.min_group_size) {
         throw std::logic_error(std::string("deploy: group_size below the system's floor: ") +
-                               reg.traits.min_group_reason);
+                               traits.min_group_reason);
     }
-    // The TCP backend wraps whatever the registered factory builds: the
-    // wrapper re-enters make_deployment with backend == kSim and an env
-    // pointing at its transport and per-node loops.
+    // The TCP backend wraps whatever the sim backend builds: the wrapper
+    // re-enters make_deployment with backend == kSim and an env pointing at
+    // its transport and per-node loops.
     if (spec.backend == Backend::kTcp) return std::make_unique<TcpDeployment>(system, spec);
-    return reg.factory(spec);
+    switch (system) {
+        case SystemKind::kNewTop: return std::make_unique<NewTopDeployment>(spec);
+        case SystemKind::kFsNewTop: return std::make_unique<FsNewTopDeployment>(spec);
+        case SystemKind::kPbft: return std::make_unique<PbftDeployment>(spec);
+    }
+    throw std::logic_error("deploy: unknown system");
 }
 
 }  // namespace failsig::deploy

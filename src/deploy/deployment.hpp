@@ -6,9 +6,10 @@
 // the members, submit workload messages, inject faults (crash / partition /
 // Byzantine fault plans / liveness timeouts), observe deliveries, views and
 // fail-signals, and reach the owning Simulation/SimNetwork — so the scenario
-// engine (src/scenario/runner.cpp) contains exactly one execution path and a
-// fourth system plugs in by implementing this interface and registering a
-// factory; no engine edits.
+// engine (src/scenario/runner.cpp) contains exactly one execution path. Each
+// stack is one class built straight from a DeploymentSpec; a fourth system
+// is one more such class, one SystemKind value and one `case` in
+// make_deployment — no engine edits.
 #pragma once
 
 #include <algorithm>
@@ -21,7 +22,6 @@
 #include "common/batch.hpp"
 #include "fs/fault.hpp"
 #include "fs/fso.hpp"
-#include "fsnewtop/deployment.hpp"
 #include "net/network.hpp"
 #include "net/runtime_env.hpp"
 #include "newtop/suspector.hpp"
@@ -30,10 +30,18 @@
 #include "sim/simulation.hpp"
 #include "time/clock.hpp"
 
+namespace failsig::fsnewtop {
+
+/// Where FS-NewTOP's pair members live (see deploy/fsnewtop.hpp): kCollocated
+/// is the paper's n-node set-up (Figure 5), kFull the 2n-node one (Figure 4).
+enum class Placement { kCollocated, kFull };
+
+}  // namespace failsig::fsnewtop
+
 namespace failsig::deploy {
 
 /// Which deployment a scenario drives. Extending the comparison means adding
-/// a value here and registering a factory (see `register_deployment`).
+/// a value here and a `case` in make_deployment.
 enum class SystemKind : std::uint8_t { kNewTop = 0, kFsNewTop = 1, kPbft = 2 };
 
 const char* name_of(SystemKind system);
@@ -50,6 +58,12 @@ const char* name_of(Backend backend);
 /// fields are ignored by the stacks they don't concern.
 struct DeploymentSpec {
     int group_size{3};
+    /// Concurrent CPU capacity per node. The paper's ORB pool has 10
+    /// *threads*, but they multiplex onto Pentium III *dual-processor*
+    /// nodes; since the simulator charges pure CPU time (no blocking I/O),
+    /// the faithful worker count is the CPU count. This is what makes the
+    /// collocated FS deployment (two wrapper objects per node, Figure 5)
+    /// genuinely contend for cycles. bench_ab2 sweeps this knob.
     int threads_per_node{2};
     std::uint64_t seed{1};
     newtop::ServiceType service{newtop::ServiceType::kSymmetricTotalOrder};
@@ -57,7 +71,8 @@ struct DeploymentSpec {
     /// by default — max_requests <= 1 keeps the wire byte-identical).
     BatchConfig batch{};
 
-    // NewTOP only.
+    // NewTOP only. When start_suspectors is false no ping traffic exists
+    // (the paper's failure-free runs eliminate false suspicions).
     bool start_suspectors{false};
     newtop::SuspectorOptions suspector{};
 
@@ -72,8 +87,8 @@ struct DeploymentSpec {
     obs::Obs* obs{nullptr};
 
     /// Execution backend. kSim is the deterministic default; kTcp runs the
-    /// same stack over real sockets (deploy::TcpDeployment wraps the
-    /// registered factory's deployment). Not serialized into reports.
+    /// same stack over real sockets (deploy::TcpDeployment wraps the sim
+    /// backend's deployment). Not serialized into reports.
     Backend backend{Backend::kSim};
     /// External runtime environment forwarded into the stack (the TCP
     /// wrapper fills this; external callers leave it default).
@@ -275,13 +290,6 @@ struct SystemTraits {
     /// Human-readable reason used when a sweep cell is skipped.
     const char* min_group_reason{""};
 };
-
-using DeploymentFactory = std::function<std::unique_ptr<Deployment>(const DeploymentSpec&)>;
-
-/// Registers (or replaces) the factory for a system. The three built-in
-/// stacks self-register; a fourth system calls this once at startup.
-void register_deployment(SystemKind system, DeploymentFactory factory,
-                         SystemTraits traits = {});
 
 [[nodiscard]] SystemTraits traits_of(SystemKind system);
 

@@ -2,48 +2,145 @@
 
 namespace failsig::deploy {
 
-fsnewtop::FsNewTopOptions FsNewTopDeployment::make_options(const DeploymentSpec& spec) {
-    fsnewtop::FsNewTopOptions opts;
-    opts.group_size = spec.group_size;
-    opts.threads_per_node = spec.threads_per_node;
-    opts.seed = spec.seed;
-    opts.placement = spec.placement;
-    opts.fs_config = spec.fs_config;
-    opts.batch = spec.batch;
-    opts.obs = spec.obs;
-    opts.env = spec.env;
-    opts.checkpoint_interval = spec.checkpoint_interval;
-    return opts;
-}
+namespace {
+
+std::string gc_name(int member) { return "GC:" + std::to_string(member); }
+
+}  // namespace
 
 FsNewTopDeployment::FsNewTopDeployment(const DeploymentSpec& spec)
-    : inner_(make_options(spec)), service_(spec.service) {
-    if (spec.obs != nullptr) spec.obs->bind(&inner_.sim());
+    : own_net_(spec.env.external() ? nullptr
+                                   : std::make_unique<net::SimNetwork>(sim_, Rng(spec.seed),
+                                                                       net::AsyncLinkParams{})),
+      net_(net::transport_or(spec.env, own_net_.get())),
+      faults_(net::faults_or(spec.env, own_net_.get())),
+      domain_(net::sim_of_or(spec.env, sim_), net_, sim::CostModel{}, spec.threads_per_node),
+      keys_(crypto::KeyService::Backend::kHmac, 512, spec.seed ^ 0x6b657973u),
+      host_(fs::FsRuntime{net_, domain_, keys_, directory_, spec.obs}),
+      placement_(spec.placement),
+      service_(spec.service) {
+    const int n = spec.group_size;
+    ensure(n >= 1, "FsNewTopDeployment: group_size must be >= 1");
+
+    std::vector<newtop::MemberId> member_ids;
+    for (int i = 0; i < n; ++i) member_ids.push_back(static_cast<newtop::MemberId>(i));
+
+    // Node layout.
+    const auto app_node = [&](int i) { return NodeId{static_cast<std::uint32_t>(i + 1)}; };
+    const auto leader_node = [&](int i) {
+        return spec.placement == fsnewtop::Placement::kCollocated
+                   ? app_node(i)
+                   : NodeId{static_cast<std::uint32_t>(2 * i + 1)};
+    };
+    const auto follower_node = [&](int i) {
+        if (spec.placement == fsnewtop::Placement::kCollocated) {
+            // Figure 5: FSO'_i lives on the next member's node (wrap-around);
+            // with n == 1 there is no second node, so borrow node n+1.
+            return n > 1 ? app_node((i + 1) % n) : NodeId{static_cast<std::uint32_t>(n + 1)};
+        }
+        return NodeId{static_cast<std::uint32_t>(2 * i + 2)};
+    };
+
+    // Pass 1: each member's Invocation layer (an FsClient) on its app node.
+    members_.resize(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+        auto& m = members_[static_cast<std::size_t>(i)];
+        m.app_node = app_node(i);
+        m.leader_node = leader_node(i);
+        m.follower_node = follower_node(i);
+        orb::Orb& app_orb = domain_.create_orb(app_node(i));
+        m.invocation = std::make_unique<fsnewtop::FsInvocation>(
+            host_.runtime(), app_orb, "inv:" + std::to_string(i), gc_name(i));
+        m.invocation->set_obs(spec.obs, i);
+        m.invocation->configure_batching(app_orb.simulation(), spec.batch);
+    }
+
+    // Pass 2: the FS-wrapped GC pairs.
+    for (int i = 0; i < n; ++i) {
+        newtop::GcConfig cfg;
+        cfg.self = static_cast<newtop::MemberId>(i);
+        cfg.initial_members = member_ids;
+        for (int j = 0; j < n; ++j) {
+            if (j == i) continue;
+            cfg.peers[static_cast<newtop::MemberId>(j)] = fs::Destination::fs(gc_name(j));
+            cfg.fs_members[gc_name(j)] = static_cast<newtop::MemberId>(j);
+        }
+        cfg.delivery = fs::Destination::plain(invocation(i).delivery_ref());
+        cfg.protocol_op_cost = domain_.costs().gc_protocol_op;
+        cfg.obs = spec.obs;
+        cfg.obs_member = i;
+        cfg.checkpoint_interval = spec.checkpoint_interval;
+
+        // The factory runs twice — leader replica first, then the follower
+        // (fs/process.cpp construction order). Only the leader gets the obs
+        // tap: both replicas execute the same inputs, and stamping both
+        // would double-count every lifecycle stage.
+        auto replica_calls = std::make_shared<int>(0);
+        members_[static_cast<std::size_t>(i)].handles = host_.create_process(
+            gc_name(i), leader_node(i), follower_node(i),
+            [cfg, replica_calls] {
+                newtop::GcConfig replica_cfg = cfg;
+                if ((*replica_calls)++ != 0) replica_cfg.obs = nullptr;
+                return std::make_unique<newtop::GcService>(replica_cfg);
+            },
+            spec.fs_config);
+    }
+
+    if (spec.obs != nullptr) spec.obs->bind(&sim_);
 }
 
-std::vector<NodeId> FsNewTopDeployment::nodes_of(int member) const {
-    if (inner_.placement() == fsnewtop::Placement::kFull) {
-        return {inner_.app_node_of(member), inner_.leader_node_of(member),
-                inner_.follower_node_of(member)};
+fsnewtop::FsInvocation& FsNewTopDeployment::invocation(int i) { return *member(i).invocation; }
+
+fs::Fso& FsNewTopDeployment::leader_fso(int i) { return *member(i).handles.leader; }
+
+fs::Fso& FsNewTopDeployment::follower_fso(int i) { return *member(i).handles.follower; }
+
+newtop::GcService& FsNewTopDeployment::gc_leader(int i) {
+    return dynamic_cast<newtop::GcService&>(leader_fso(i).service());
+}
+
+const newtop::GcService& FsNewTopDeployment::gc_leader(int i) const {
+    return dynamic_cast<const newtop::GcService&>(member(i).handles.leader->service());
+}
+
+newtop::GcService& FsNewTopDeployment::gc_follower(int i) {
+    return dynamic_cast<newtop::GcService&>(follower_fso(i).service());
+}
+
+NodeId FsNewTopDeployment::app_node_of(int i) const { return member(i).app_node; }
+
+NodeId FsNewTopDeployment::leader_node_of(int i) const { return member(i).leader_node; }
+
+NodeId FsNewTopDeployment::follower_node_of(int i) const { return member(i).follower_node; }
+
+std::vector<NodeId> FsNewTopDeployment::nodes_of(int i) const {
+    if (placement_ == fsnewtop::Placement::kFull) {
+        return {app_node_of(i), leader_node_of(i), follower_node_of(i)};
     }
-    return {inner_.app_node_of(member)};
+    return {app_node_of(i)};
+}
+
+BatchStats FsNewTopDeployment::batch_stats() const {
+    BatchStats stats;
+    for (const auto& m : members_) stats += m.invocation->batch_stats();
+    return stats;
 }
 
 void FsNewTopDeployment::attach(Observers observers) {
     observers_ = std::move(observers);
-    for (int i = 0; i < inner_.group_size(); ++i) {
+    for (int i = 0; i < group_size(); ++i) {
         if (observers_.delivered) {
-            inner_.invocation(i).on_delivery([this, i](const newtop::Delivery& d) {
+            invocation(i).on_delivery([this, i](const newtop::Delivery& d) {
                 observers_.delivered(i, d.payload);
             });
         }
         if (observers_.view_installed) {
-            inner_.invocation(i).on_view([this, i](const newtop::GroupView& v) {
+            invocation(i).on_view([this, i](const newtop::GroupView& v) {
                 observers_.view_installed(i, v);
             });
         }
         if (observers_.middleware_failure) {
-            inner_.invocation(i).on_middleware_failure([this, i](const std::string& fs_name) {
+            invocation(i).on_middleware_failure([this, i](const std::string& fs_name) {
                 observers_.middleware_failure(i, fs_name);
             });
         }
@@ -51,25 +148,23 @@ void FsNewTopDeployment::attach(Observers observers) {
             const auto observer = [this, i](const std::string& name, const std::string& reason) {
                 observers_.fail_signal(i, name, reason);
             };
-            inner_.leader_fso(i).set_fail_signal_observer(observer);
-            inner_.follower_fso(i).set_fail_signal_observer(observer);
+            leader_fso(i).set_fail_signal_observer(observer);
+            follower_fso(i).set_fail_signal_observer(observer);
         }
     }
 }
 
-void FsNewTopDeployment::submit(int member, Bytes payload) {
-    inner_.invocation(member).multicast(service_, std::move(payload));
+void FsNewTopDeployment::submit(int i, Bytes payload) {
+    invocation(i).multicast(service_, std::move(payload));
 }
 
-void FsNewTopDeployment::crash(int member) {
-    inner_.faults().block(inner_.leader_node_of(member), inner_.follower_node_of(member));
+void FsNewTopDeployment::crash(int i) { faults_.block(leader_node_of(i), follower_node_of(i)); }
+
+void FsNewTopDeployment::recover_links(int i) {
+    faults_.unblock(leader_node_of(i), follower_node_of(i));
 }
 
-void FsNewTopDeployment::recover_links(int member) {
-    inner_.faults().unblock(inner_.leader_node_of(member), inner_.follower_node_of(member));
-}
-
-std::vector<RecoveryStep> FsNewTopDeployment::recover_steps(int member) {
+std::vector<RecoveryStep> FsNewTopDeployment::recover_steps(int i) {
     // Severing the pair link desynchronizes the wrapper objects: the leader
     // keeps ordering/executing while the follower starves, so their order
     // sequences diverge and both latch fail-signalling. Recovery re-bases
@@ -81,36 +176,36 @@ std::vector<RecoveryStep> FsNewTopDeployment::recover_steps(int member) {
     // replicas, so their outputs match and the pair self-check resumes.
     auto base = std::make_shared<std::uint64_t>(1);
     std::vector<RecoveryStep> steps;
-    steps.push_back({inner_.leader_node_of(member), [this, member, base] {
-                         *base = std::max(*base, inner_.leader_fso(member).next_seq());
+    steps.push_back({leader_node_of(i), [this, i, base] {
+                         *base = std::max(*base, leader_fso(i).next_seq());
                      }});
-    steps.push_back({inner_.follower_node_of(member), [this, member, base] {
-                         *base = std::max(*base, inner_.follower_fso(member).next_seq());
+    steps.push_back({follower_node_of(i), [this, i, base] {
+                         *base = std::max(*base, follower_fso(i).next_seq());
                      }});
-    steps.push_back({inner_.leader_node_of(member), [this, member, base] {
-                         inner_.leader_fso(member).reset_for_recovery(*base);
+    steps.push_back({leader_node_of(i), [this, i, base] {
+                         leader_fso(i).reset_for_recovery(*base);
                      }});
-    steps.push_back({inner_.follower_node_of(member), [this, member, base] {
-                         inner_.follower_fso(member).reset_for_recovery(*base);
+    steps.push_back({follower_node_of(i), [this, i, base] {
+                         follower_fso(i).reset_for_recovery(*base);
                      }});
-    steps.push_back({inner_.app_node_of(member), [this, member] {
-                         inner_.invocation(member).prepare_rejoin();
-                         inner_.invocation(member).send_control("__rejoin", Bytes{});
+    steps.push_back({app_node_of(i), [this, i] {
+                         invocation(i).prepare_rejoin();
+                         invocation(i).send_control("__rejoin", Bytes{});
                      }});
     return steps;
 }
 
-std::optional<AppStateInfo> FsNewTopDeployment::app_state_of(int member) {
+std::optional<AppStateInfo> FsNewTopDeployment::app_state_of(int i) {
     // The pair's replicas hold identical app state by construction; read the
     // leader's copy.
-    const auto& app = inner_.gc_leader(member).app();
+    const auto& app = gc_leader(i).app();
     return AppStateInfo{app.applied(), app.digest(), app.state_string()};
 }
 
 RecoveryStats FsNewTopDeployment::recovery_stats() const {
     RecoveryStats stats;
-    for (int i = 0; i < inner_.group_size(); ++i) {
-        const auto& gc = inner_.gc_leader(i);
+    for (int i = 0; i < group_size(); ++i) {
+        const auto& gc = gc_leader(i);
         stats.checkpoints_taken += gc.app().checkpoints_taken();
         stats.rejoins_completed += gc.rejoins_completed();
         stats.flush_log_evictions += gc.flush_log_evictions();
@@ -120,8 +215,7 @@ RecoveryStats FsNewTopDeployment::recovery_stats() const {
 }
 
 bool FsNewTopDeployment::inject_fault(const FaultInjection& fault) {
-    fs::Fso& target = fault.at_leader ? inner_.leader_fso(fault.member)
-                                      : inner_.follower_fso(fault.member);
+    fs::Fso& target = fault.at_leader ? leader_fso(fault.member) : follower_fso(fault.member);
     target.set_fault_plan(fault.plan);
     return true;
 }

@@ -1,11 +1,23 @@
-// Deployment adapter for FS-NewTOP (paper §3.1): every member's GC service
-// is a fail-signal pair; Byzantine fault plans and pair-link crashes are
-// expressible, and the stack announces its own failures instead of being
-// timed out.
+// FS-NewTOP (paper §3.1, Figures 4 & 5): every member's GC service is a
+// fail-signal pair {FSO_i, FSO'_i} whose two wrapper objects live on
+// distinct nodes joined by a synchronous link. Byzantine fault plans and
+// pair-link crashes are expressible, and the stack announces its own
+// failures instead of being timed out. Two placements are supported:
+//   * kFull (Figure 4): 2n nodes — each pair gets its own two nodes; the
+//     application and Invocation layer live on the leader's node. Masking f
+//     Byzantine faults at the application level then needs 4f+2 nodes.
+//   * kCollocated (Figure 5): n nodes — node i hosts A_i, FSO_i and the
+//     follower FSO'_{i-1} of the previous member, halving the node count.
+//     This is the paper's experimental set-up (it loads every node with two
+//     wrapper objects, deliberately favouring plain NewTOP in comparisons).
 #pragma once
 
+#include <memory>
+
 #include "deploy/deployment.hpp"
-#include "fsnewtop/deployment.hpp"
+#include "fs/process.hpp"
+#include "fsnewtop/fs_invocation.hpp"
+#include "newtop/gc_service.hpp"
 
 namespace failsig::deploy {
 
@@ -13,10 +25,10 @@ class FsNewTopDeployment final : public Deployment {
 public:
     explicit FsNewTopDeployment(const DeploymentSpec& spec);
 
-    [[nodiscard]] sim::Simulation& sim() override { return inner_.sim(); }
-    [[nodiscard]] net::Transport& network() override { return inner_.network(); }
-    [[nodiscard]] net::FaultInjector& faults() override { return inner_.faults(); }
-    [[nodiscard]] int group_size() const override { return inner_.group_size(); }
+    [[nodiscard]] sim::Simulation& sim() override { return sim_; }
+    [[nodiscard]] net::Transport& network() override { return net_; }
+    [[nodiscard]] net::FaultInjector& faults() override { return faults_; }
+    [[nodiscard]] int group_size() const override { return static_cast<int>(members_.size()); }
     [[nodiscard]] std::vector<NodeId> nodes_of(int member) const override;
 
     void attach(Observers observers) override;
@@ -34,27 +46,59 @@ public:
     [[nodiscard]] RecoveryStats recovery_stats() const override;
     bool inject_fault(const FaultInjection& fault) override;
     [[nodiscard]] std::optional<NodeId> fault_home(const FaultInjection& fault) const override {
-        return fault.at_leader ? inner_.leader_node_of(fault.member)
-                               : inner_.follower_node_of(fault.member);
+        return fault.at_leader ? leader_node_of(fault.member) : follower_node_of(fault.member);
     }
     /// Host faults act on whole hosts; under the collocated placement every
     /// host is shared between two pairs (member i's leader and member i-1's
     /// follower), so only the dedicated-node placement can express them.
     [[nodiscard]] bool supports_host_faults() const override {
-        return inner_.placement() == fsnewtop::Placement::kFull;
+        return placement_ == fsnewtop::Placement::kFull;
     }
-    [[nodiscard]] BatchStats batch_stats() const override { return inner_.batch_stats(); }
-    [[nodiscard]] std::uint64_t crypto_verify_ops() const override {
-        return inner_.keys().verify_ops();
-    }
+    [[nodiscard]] BatchStats batch_stats() const override;
+    [[nodiscard]] std::uint64_t crypto_verify_ops() const override { return keys_.verify_ops(); }
     [[nodiscard]] std::uint64_t crypto_verify_cache_hits() const override {
-        return inner_.keys().verify_cache_hits();
+        return keys_.verify_cache_hits();
     }
+
+    // Stack internals, for inspection and fault injection.
+    [[nodiscard]] fsnewtop::FsInvocation& invocation(int member);
+    /// The two wrapper objects of member i's GC pair.
+    [[nodiscard]] fs::Fso& leader_fso(int member);
+    [[nodiscard]] fs::Fso& follower_fso(int member);
+    /// The GC state machine replicas inside the pair.
+    [[nodiscard]] newtop::GcService& gc_leader(int member);
+    [[nodiscard]] const newtop::GcService& gc_leader(int member) const;
+    [[nodiscard]] newtop::GcService& gc_follower(int member);
+
+    // Physical layout (crashes and partitions operate on hosts, not on
+    // protocol-level members).
+    [[nodiscard]] NodeId app_node_of(int member) const;
+    [[nodiscard]] NodeId leader_node_of(int member) const;
+    [[nodiscard]] NodeId follower_node_of(int member) const;
 
 private:
-    static fsnewtop::FsNewTopOptions make_options(const DeploymentSpec& spec);
+    struct Member {
+        std::unique_ptr<fsnewtop::FsInvocation> invocation;
+        fs::FsProcessHandles handles;
+        NodeId app_node;
+        NodeId leader_node;
+        NodeId follower_node;
+    };
 
-    fsnewtop::FsNewTopDeployment inner_;
+    [[nodiscard]] const Member& member(int i) const {
+        return members_.at(static_cast<std::size_t>(i));
+    }
+
+    sim::Simulation sim_;
+    std::unique_ptr<net::SimNetwork> own_net_;  // null when env.transport is set
+    net::Transport& net_;
+    net::FaultInjector& faults_;
+    orb::OrbDomain domain_;
+    crypto::KeyService keys_;
+    fs::FsDirectory directory_;
+    fs::FsHost host_;
+    fsnewtop::Placement placement_;
+    std::vector<Member> members_;
     newtop::ServiceType service_;
     Observers observers_;
 };

@@ -2,82 +2,148 @@
 
 namespace failsig::deploy {
 
-newtop::NewTopOptions NewTopDeployment::make_options(const DeploymentSpec& spec) {
-    newtop::NewTopOptions opts;
-    opts.group_size = spec.group_size;
-    opts.threads_per_node = spec.threads_per_node;
-    opts.seed = spec.seed;
-    opts.start_suspectors = spec.start_suspectors;
-    opts.suspector = spec.suspector;
-    opts.batch = spec.batch;
-    opts.obs = spec.obs;
-    opts.env = spec.env;
-    opts.checkpoint_interval = spec.checkpoint_interval;
-    return opts;
+NewTopDeployment::NewTopDeployment(const DeploymentSpec& spec)
+    : own_net_(spec.env.external() ? nullptr
+                                   : std::make_unique<net::SimNetwork>(sim_, Rng(spec.seed),
+                                                                       net::AsyncLinkParams{})),
+      net_(net::transport_or(spec.env, own_net_.get())),
+      faults_(net::faults_or(spec.env, own_net_.get())),
+      domain_(net::sim_of_or(spec.env, sim_), net_, sim::CostModel{}, spec.threads_per_node),
+      service_(spec.service) {
+    const int n = spec.group_size;
+    ensure(n >= 1, "NewTopDeployment: group_size must be >= 1");
+
+    std::vector<newtop::MemberId> member_ids;
+    for (int i = 0; i < n; ++i) member_ids.push_back(static_cast<newtop::MemberId>(i));
+
+    // Pass 1: create ORBs and reserve object refs so GcConfigs can point at
+    // peers that do not exist yet.
+    std::vector<orb::Orb*> orbs;
+    std::vector<orb::ObjectRef> gc_refs(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+        orbs.push_back(&domain_.create_orb(node_of(i)));
+        gc_refs[static_cast<std::size_t>(i)] = orb::ObjectRef{orbs.back()->endpoint(), "gc"};
+    }
+
+    // Pass 2: build each NSO.
+    members_.resize(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+        auto& m = member(i);
+        orb::Orb& orb = *orbs[static_cast<std::size_t>(i)];
+
+        newtop::GcConfig cfg;
+        cfg.self = static_cast<newtop::MemberId>(i);
+        cfg.initial_members = member_ids;
+        for (int j = 0; j < n; ++j) {
+            if (j == i) continue;
+            cfg.peers[static_cast<newtop::MemberId>(j)] =
+                fs::Destination::plain(gc_refs[static_cast<std::size_t>(j)]);
+        }
+        cfg.delivery = fs::Destination::plain(orb::ObjectRef{orb.endpoint(), "inv"});
+        cfg.protocol_op_cost = domain_.costs().gc_protocol_op;
+        cfg.obs = spec.obs;
+        cfg.obs_member = i;
+        cfg.checkpoint_interval = spec.checkpoint_interval;
+
+        m.gc = std::make_unique<newtop::GcServant>(orb, "gc",
+                                                   std::make_unique<newtop::GcService>(cfg));
+        m.invocation = std::make_unique<newtop::PlainInvocation>(orb, "inv", *m.gc);
+        m.invocation->set_obs(spec.obs, i);
+        m.invocation->configure_batching(orb.simulation(), spec.batch);
+        m.suspector = std::make_unique<newtop::PingSuspector>(
+            orb.simulation(), orb, "susp", static_cast<newtop::MemberId>(i), *m.gc,
+            spec.suspector);
+    }
+
+    // Pass 3: connect suspectors.
+    for (int i = 0; i < n; ++i) {
+        std::map<newtop::MemberId, orb::ObjectRef> peers;
+        for (int j = 0; j < n; ++j) {
+            if (j == i) continue;
+            peers[static_cast<newtop::MemberId>(j)] =
+                orb::ObjectRef{orbs[static_cast<std::size_t>(j)]->endpoint(), "susp"};
+        }
+        member(i).suspector->set_peers(std::move(peers));
+        if (spec.start_suspectors) member(i).suspector->start();
+    }
+
+    // Stamps read now() lazily, so binding after construction is safe.
+    if (spec.obs != nullptr) spec.obs->bind(&sim_);
 }
 
-NewTopDeployment::NewTopDeployment(const DeploymentSpec& spec)
-    : inner_(make_options(spec)), service_(spec.service) {
-    // Stamps read now() lazily, so binding after inner construction is safe.
-    if (spec.obs != nullptr) spec.obs->bind(&inner_.sim());
+newtop::PlainInvocation& NewTopDeployment::invocation(int i) { return *member(i).invocation; }
+
+newtop::GcService& NewTopDeployment::gc(int i) { return member(i).gc->gc(); }
+
+const newtop::GcService& NewTopDeployment::gc(int i) const {
+    return members_.at(static_cast<std::size_t>(i)).gc->gc();
+}
+
+newtop::PingSuspector& NewTopDeployment::suspector(int i) { return *member(i).suspector; }
+
+void NewTopDeployment::stop_perpetual_member(int i) { member(i).suspector->stop(); }
+
+BatchStats NewTopDeployment::batch_stats() const {
+    BatchStats stats;
+    for (const auto& m : members_) stats += m.invocation->batch_stats();
+    return stats;
 }
 
 void NewTopDeployment::attach(Observers observers) {
     observers_ = std::move(observers);
-    for (int i = 0; i < inner_.group_size(); ++i) {
+    for (int i = 0; i < group_size(); ++i) {
         if (observers_.delivered) {
-            inner_.invocation(i).on_delivery([this, i](const newtop::Delivery& d) {
+            invocation(i).on_delivery([this, i](const newtop::Delivery& d) {
                 observers_.delivered(i, d.payload);
             });
         }
         if (observers_.view_installed) {
-            inner_.invocation(i).on_view([this, i](const newtop::GroupView& v) {
+            invocation(i).on_view([this, i](const newtop::GroupView& v) {
                 observers_.view_installed(i, v);
             });
         }
     }
 }
 
-void NewTopDeployment::submit(int member, Bytes payload) {
-    inner_.invocation(member).multicast(service_, std::move(payload));
+void NewTopDeployment::submit(int i, Bytes payload) {
+    invocation(i).multicast(service_, std::move(payload));
 }
 
-std::vector<RecoveryStep> NewTopDeployment::recover_steps(int member) {
+std::vector<RecoveryStep> NewTopDeployment::recover_steps(int i) {
     std::vector<RecoveryStep> steps;
     // Survivors first: forgive the rejoiner in their ping suspectors, so the
     // join request is not raced by a fresh (false) suspicion of a member
     // whose last_heard_ timestamp predates its crash.
-    for (int s = 0; s < inner_.group_size(); ++s) {
-        if (s == member) continue;
-        steps.push_back({inner_.node_of(s), [this, s, member] {
-                             inner_.suspector(s).forgive(
-                                 static_cast<newtop::MemberId>(member));
+    for (int s = 0; s < group_size(); ++s) {
+        if (s == i) continue;
+        steps.push_back({node_of(s), [this, s, i] {
+                             suspector(s).forgive(static_cast<newtop::MemberId>(i));
                          }});
     }
     // Then the rejoiner: clean suspector slate, re-armed delivery
     // resequencer, and the GC-level "__rejoin" that wipes state and asks the
     // survivors for readmission.
-    steps.push_back({inner_.node_of(member), [this, member] {
-                         inner_.suspector(member).forgive_all();
-                         inner_.invocation(member).prepare_rejoin();
-                         inner_.gc_servant(member).submit_local("__rejoin", Bytes{});
+    steps.push_back({node_of(i), [this, i] {
+                         suspector(i).forgive_all();
+                         invocation(i).prepare_rejoin();
+                         member(i).gc->submit_local("__rejoin", Bytes{});
                      }});
     return steps;
 }
 
-std::optional<AppStateInfo> NewTopDeployment::app_state_of(int member) {
-    const auto& app = inner_.gc(member).app();
+std::optional<AppStateInfo> NewTopDeployment::app_state_of(int i) {
+    const auto& app = gc(i).app();
     return AppStateInfo{app.applied(), app.digest(), app.state_string()};
 }
 
 RecoveryStats NewTopDeployment::recovery_stats() const {
     RecoveryStats stats;
-    for (int i = 0; i < inner_.group_size(); ++i) {
-        const auto& gc = inner_.gc(i);
-        stats.checkpoints_taken += gc.app().checkpoints_taken();
-        stats.rejoins_completed += gc.rejoins_completed();
-        stats.flush_log_evictions += gc.flush_log_evictions();
-        stats.flush_eviction_gaps += gc.flush_eviction_gaps();
+    for (int i = 0; i < group_size(); ++i) {
+        const auto& g = gc(i);
+        stats.checkpoints_taken += g.app().checkpoints_taken();
+        stats.rejoins_completed += g.rejoins_completed();
+        stats.flush_log_evictions += g.flush_log_evictions();
+        stats.flush_eviction_gaps += g.flush_eviction_gaps();
     }
     return stats;
 }

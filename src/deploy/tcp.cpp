@@ -34,7 +34,7 @@ TcpDeployment::TcpDeployment(SystemKind system, const DeploymentSpec& spec) {
     transport_ = std::make_unique<net::TcpTransport>(std::move(hooks),
                                                      Rng(spec.seed ^ 0x7c9d2f1eULL));
 
-    // The wrapped deployment is the one the registry would build for the sim
+    // The wrapped deployment is the one make_deployment builds for the sim
     // backend, mounted on this transport and on per-node event loops. Its
     // topology building (bind per endpoint, one Simulation per node via
     // sim_of) runs single-threaded, right here.

@@ -1,6 +1,6 @@
-// Real-socket execution of any registered deployment.
+// Real-socket execution of any deployment.
 //
-// TcpDeployment wraps the deployment the registry would build for the sim
+// TcpDeployment wraps the deployment make_deployment builds for the sim
 // backend, but mounts it on a TcpTransport and gives every physical node
 // its own *executor*: a thread owning a private discrete-event Simulation
 // (the node's timers and pools) plus an inbox of delivery tasks posted by

@@ -175,7 +175,6 @@ void GcService::on_gc_message(const GcMessage& msg, Out& out) {
     // view (proposed members, a rejoining member, grants that overtake the
     // install on the wire); all other traffic must come from a view member.
     const bool is_view_msg = msg.kind == GcKind::kViewPropose || msg.kind == GcKind::kViewAck ||
-                             msg.kind == GcKind::kViewInstall ||
                              msg.kind == GcKind::kFlushState || msg.kind == GcKind::kFlushDone ||
                              msg.kind == GcKind::kJoinRequest || msg.kind == GcKind::kJoinGrant;
     if (joining_ && !is_view_msg) {
@@ -217,7 +216,6 @@ void GcService::on_gc_message(const GcMessage& msg, Out& out) {
         case GcKind::kOrder: handle_asym_order(msg, out); break;
         case GcKind::kViewPropose: handle_view_propose(msg, out); break;
         case GcKind::kViewAck: handle_view_ack(msg, out); break;
-        case GcKind::kViewInstall: handle_view_install(msg, out); break;
         case GcKind::kFlushState: handle_flush_state(msg, out); break;
         case GcKind::kFlushDone: handle_flush_done(msg, out); break;
         case GcKind::kJoinRequest: handle_join_request(msg, out); break;
@@ -558,23 +556,6 @@ void GcService::handle_view_ack(const GcMessage& msg, Out& out) {
     // round (they travel as independent signed streams under FS and may
     // overtake each other).
     maybe_complete_flush(out);
-}
-
-void GcService::handle_view_install(const GcMessage& msg, Out& out) {
-    highest_view_seen_ = std::max(highest_view_seen_, msg.view_id);
-    if (msg.view_id <= view_.view_id) return;
-    if (std::find(msg.view_members.begin(), msg.view_members.end(), cfg_.self) ==
-        msg.view_members.end()) {
-        return;
-    }
-    if (!plausible_coordinator(msg)) return;
-    if (flush_pending_ >= msg.view_id) {
-        // The kFlushDone for this round performs the install after the cut
-        // is applied; an install overtaking it on the wire must not skip the
-        // cut (that is exactly the agreement hole this protocol closes).
-        return;
-    }
-    install_view(msg.view_id, msg.view_members, out);
 }
 
 void GcService::install_view(std::uint64_t view_id, std::vector<MemberId> members, Out& out) {
@@ -1030,7 +1011,7 @@ void GcService::maybe_complete_flush(Out& out) {
     done.view_id = last_proposed_id_;
     // kFlushDone carries the membership and performs the install at the
     // receiver: under FS the GC's outputs travel as independent signed
-    // streams, so a separate kViewInstall could overtake the cut.
+    // streams, so a separate install message could overtake the cut.
     done.view_members = round.members;
     done.payload = cut.encode();
     for (const auto m : round.members) {

@@ -121,7 +121,6 @@ private:
     void maybe_propose_view(Out& out);
     void handle_view_propose(const GcMessage& msg, Out& out);
     void handle_view_ack(const GcMessage& msg, Out& out);
-    void handle_view_install(const GcMessage& msg, Out& out);
     void install_view(std::uint64_t view_id, std::vector<MemberId> members, Out& out);
     /// True iff `msg.sender` is the lowest member of `msg.view_members` that
     /// is not a pending joiner (joiners never coordinate: they have no state

@@ -32,7 +32,9 @@ Result<GcMessage> GcMessage::decode(std::span<const std::uint8_t> data) {
         ByteReader r(data);
         GcMessage m;
         const auto kind_raw = r.u8();
-        if (kind_raw < 1 || kind_raw > 10) return Result<GcMessage>::err("bad GcKind");
+        if (kind_raw < 1 || kind_raw > 10 || kind_raw == 6) {
+            return Result<GcMessage>::err("bad GcKind");
+        }
         m.kind = static_cast<GcKind>(kind_raw);
         m.sender = r.u32();
         m.stream_seq = r.u64();

@@ -17,7 +17,7 @@ enum class GcKind : std::uint8_t {
     kOrder = 3,        ///< sequencer order assignment (asymmetric TO)
     kViewPropose = 4,  ///< coordinator proposes a new view
     kViewAck = 5,      ///< member accepts a proposed view
-    kViewInstall = 6,  ///< coordinator finalizes the view
+    // 6 is unassigned and decode rejects it (kFlushDone performs the install).
     kFlushState = 7,   ///< survivor -> coordinator: FlushState for a proposal
     kFlushDone = 8,    ///< coordinator -> survivors: agreed cut, then install
     kJoinRequest = 9,  ///< rejoining member asks the survivors for readmission
@@ -50,7 +50,7 @@ struct GcMessage {
     std::uint64_t global_seq{0};
     MemberId origin{0};            ///< original sender of the ordered message
 
-    // kViewPropose / kViewAck / kViewInstall / kFlushState / kFlushDone
+    // kViewPropose / kViewAck / kFlushState / kFlushDone
     // (kFlushState and kFlushDone carry an encoded FlushState in `payload`;
     // nesting keeps every pre-flush message kind byte-identical on the wire)
     std::uint64_t view_id{0};

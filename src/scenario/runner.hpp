@@ -1,13 +1,13 @@
 // Scenario execution engine and parameter sweeps.
 //
-// `run_scenario` builds the deployment a Scenario names through the
-// deploy::Deployment registry, attaches the trace recorder to the
+// `run_scenario` builds the deployment a Scenario names through
+// deploy::make_deployment, attaches the trace recorder to the
 // deployment's observer hooks, schedules the workload and the fault
 // timeline on the deterministic simulator, runs to quiescence (or to the
 // deadline when the scenario contains perpetual activity), and returns
 // metrics + invariant verdicts + the full trace. The engine is one generic
 // path: everything system-specific lives behind deploy::Deployment, so a
-// fourth system needs a registry entry, not engine edits. `run_sweep`
+// fourth system needs a deployment class, not engine edits. `run_sweep`
 // crosses systems x group sizes x seeds over a base scenario — the shape
 // every figure bench and regression gate consumes (see scenario/report.hpp
 // for the JSON/CSV output) — executing independent cells on a worker pool

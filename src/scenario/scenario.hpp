@@ -18,14 +18,13 @@
 #include "deploy/deployment.hpp"
 #include "fs/fault.hpp"
 #include "fs/fso.hpp"
-#include "fsnewtop/deployment.hpp"
 #include "newtop/suspector.hpp"
 #include "newtop/types.hpp"
 
 namespace failsig::scenario {
 
 /// Which deployment the scenario drives (see deploy/deployment.hpp — the
-/// engine is keyed on this through the deployment registry).
+/// engine is keyed on this through deploy::make_deployment).
 using deploy::SystemKind;
 using deploy::name_of;
 

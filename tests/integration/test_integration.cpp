@@ -9,48 +9,49 @@
 //   Determinism— a run is a pure function of its seed.
 #include <gtest/gtest.h>
 
-#include "fsnewtop/deployment.hpp"
+#include "deploy/fsnewtop.hpp"
 
 namespace failsig::fsnewtop {
 namespace {
 
-using newtop::Delivery;
+using deploy::DeploymentSpec;
+using deploy::FsNewTopDeployment;
 using newtop::ServiceType;
 
+/// Every member's delivered payloads; each payload names its sender.
 struct Log {
     std::vector<std::vector<std::string>> per_member;
 
-    void attach(FsNewTopDeployment& d) {
+    void attach(deploy::Deployment& d) {
         per_member.resize(static_cast<std::size_t>(d.group_size()));
-        for (int i = 0; i < d.group_size(); ++i) {
-            d.invocation(i).on_delivery([this, i](const Delivery& dl) {
-                per_member[static_cast<std::size_t>(i)].push_back(
-                    std::to_string(dl.sender) + ":" + string_of(dl.payload));
-            });
-        }
+        deploy::Observers observers;
+        observers.delivered = [this](int member, const Bytes& payload) {
+            per_member[static_cast<std::size_t>(member)].push_back(string_of(payload));
+        };
+        d.attach(std::move(observers));
     }
 };
 
 std::vector<std::string> run_total_order(int n, std::uint64_t seed, ServiceType svc,
                                          int msgs_per_member,
                                          std::vector<std::vector<std::string>>* all_logs) {
-    FsNewTopOptions opts;
-    opts.group_size = n;
-    opts.seed = seed;
-    FsNewTopDeployment d(opts);
+    DeploymentSpec spec;
+    spec.group_size = n;
+    spec.seed = seed;
+    spec.service = svc;
+    FsNewTopDeployment d(spec);
     Log log;
     log.attach(d);
 
     for (int k = 0; k < msgs_per_member; ++k) {
         for (int i = 0; i < n; ++i) {
             // Stagger the sends a little so schedules differ across seeds.
-            d.sim().schedule_after((k * n + i) * 3 * kMillisecond, [&d, i, k, svc] {
-                d.invocation(i).multicast(svc, bytes_of("m" + std::to_string(k) + "." +
-                                                        std::to_string(i)));
+            d.schedule((k * n + i) * 3 * kMillisecond, [&d, i, k] {
+                d.submit(i, bytes_of("m" + std::to_string(k) + "." + std::to_string(i)));
             });
         }
     }
-    d.sim().run();
+    d.run();
 
     if (all_logs != nullptr) *all_logs = log.per_member;
     // No pair may have fail-signalled in a fault-free run.
@@ -77,8 +78,7 @@ TEST_P(TotalOrderSweep, AgreementValidityIntegrity) {
     std::set<std::string> expected;
     for (int k = 0; k < kMsgs; ++k) {
         for (int i = 0; i < n; ++i) {
-            expected.insert(std::to_string(i) + ":m" + std::to_string(k) + "." +
-                            std::to_string(i));
+            expected.insert("m" + std::to_string(k) + "." + std::to_string(i));
         }
     }
     for (int i = 0; i < n; ++i) {
@@ -126,21 +126,22 @@ TEST(IntegrationDeterminism, DifferentSeedsMayDifferButStayCorrect) {
 }
 
 TEST(IntegrationCausal, CausalChainsHoldAcrossTheFullStack) {
-    FsNewTopOptions opts;
-    opts.group_size = 3;
-    FsNewTopDeployment d(opts);
+    DeploymentSpec spec;
+    spec.group_size = 3;
+    spec.service = ServiceType::kCausalOrder;
+    FsNewTopDeployment d(spec);
     Log log;
     log.attach(d);
 
-    d.invocation(0).multicast(ServiceType::kCausalOrder, bytes_of("cause"));
-    d.sim().run();
-    d.invocation(1).multicast(ServiceType::kCausalOrder, bytes_of("effect"));
-    d.sim().run();
+    d.submit(0, bytes_of("cause"));
+    d.run();
+    d.submit(1, bytes_of("effect"));
+    d.run();
 
     for (int i = 0; i < 3; ++i) {
         const auto& l = log.per_member[static_cast<std::size_t>(i)];
-        const auto cause = std::find(l.begin(), l.end(), "0:cause");
-        const auto effect = std::find(l.begin(), l.end(), "1:effect");
+        const auto cause = std::find(l.begin(), l.end(), "cause");
+        const auto effect = std::find(l.begin(), l.end(), "effect");
         ASSERT_NE(cause, l.end());
         ASSERT_NE(effect, l.end());
         EXPECT_LT(cause - l.begin(), effect - l.begin()) << "member " << i;
@@ -148,46 +149,41 @@ TEST(IntegrationCausal, CausalChainsHoldAcrossTheFullStack) {
 }
 
 TEST(IntegrationReliable, FifoHoldsThroughFsWrapping) {
-    FsNewTopOptions opts;
-    opts.group_size = 3;
-    FsNewTopDeployment d(opts);
+    DeploymentSpec spec;
+    spec.group_size = 3;
+    spec.service = ServiceType::kReliableMulticast;
+    FsNewTopDeployment d(spec);
     Log log;
     log.attach(d);
 
-    for (int k = 0; k < 8; ++k) {
-        d.invocation(0).multicast(ServiceType::kReliableMulticast,
-                                  bytes_of("r" + std::to_string(k)));
-    }
-    d.sim().run();
+    for (int k = 0; k < 8; ++k) d.submit(0, bytes_of("r" + std::to_string(k)));
+    d.run();
     for (int i = 0; i < 3; ++i) {
         const auto& l = log.per_member[static_cast<std::size_t>(i)];
         ASSERT_EQ(l.size(), 8u) << "member " << i;
         for (int k = 0; k < 8; ++k) {
-            EXPECT_EQ(l[static_cast<std::size_t>(k)], "0:r" + std::to_string(k));
+            EXPECT_EQ(l[static_cast<std::size_t>(k)], "r" + std::to_string(k));
         }
     }
 }
 
 TEST(IntegrationFaults, TwoSimultaneousByzantinePairsAreBothExcluded) {
     // With 5 members, two pairs fail (one node each, assumption A1 per pair).
-    FsNewTopOptions opts;
-    opts.group_size = 5;
-    FsNewTopDeployment d(opts);
+    DeploymentSpec spec;
+    spec.group_size = 5;
+    FsNewTopDeployment d(spec);
     Log log;
     log.attach(d);
 
     fs::FaultPlan corrupt;
     corrupt.corrupt_outputs = true;
-    d.follower_fso(1).set_fault_plan(corrupt);
+    d.inject_fault({.member = 1, .at_leader = false, .plan = corrupt});
     fs::FaultPlan drop;
     drop.drop_outputs = true;
-    d.leader_fso(3).set_fault_plan(drop);
+    d.inject_fault({.member = 3, .at_leader = true, .plan = drop});
 
-    for (int i = 0; i < 5; ++i) {
-        d.invocation(i).multicast(newtop::ServiceType::kSymmetricTotalOrder,
-                                  bytes_of("x" + std::to_string(i)));
-    }
-    d.sim().run_until(240 * kSecond);
+    for (int i = 0; i < 5; ++i) d.submit(i, bytes_of("x" + std::to_string(i)));
+    d.run_until(240 * kSecond);
 
     const std::vector<newtop::MemberId> survivors{0, 2, 4};
     EXPECT_EQ(d.gc_leader(0).view().members, survivors);
@@ -199,26 +195,25 @@ TEST(IntegrationFaults, TwoSimultaneousByzantinePairsAreBothExcluded) {
 }
 
 TEST(IntegrationFaults, LateFaultPreservesPrefixAgreement) {
-    FsNewTopOptions opts;
-    opts.group_size = 3;
-    FsNewTopDeployment d(opts);
+    DeploymentSpec spec;
+    spec.group_size = 3;
+    FsNewTopDeployment d(spec);
     Log log;
     log.attach(d);
 
     fs::FaultPlan plan;
     plan.corrupt_outputs = true;
     plan.active_from = 2 * kSecond;  // healthy first, Byzantine later
-    d.leader_fso(2).set_fault_plan(plan);
+    d.inject_fault({.member = 2, .at_leader = true, .plan = plan});
 
     for (int k = 0; k < 5; ++k) {
         for (int i = 0; i < 3; ++i) {
-            d.sim().schedule_at(k * kSecond, [&d, i, k] {
-                d.invocation(i).multicast(newtop::ServiceType::kSymmetricTotalOrder,
-                                          bytes_of("k" + std::to_string(k)));
+            d.schedule(k * kSecond, [&d, i, k] {
+                d.submit(i, bytes_of("k" + std::to_string(k) + "i" + std::to_string(i)));
             });
         }
     }
-    d.sim().run_until(240 * kSecond);
+    d.run_until(240 * kSecond);
 
     // Members 0 and 1 agree on everything they delivered.
     EXPECT_EQ(log.per_member[0], log.per_member[1]);

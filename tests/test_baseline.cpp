@@ -4,10 +4,38 @@
 // property the fail-signal approach removes.
 #include <gtest/gtest.h>
 
-#include "baseline/deployment.hpp"
+#include "deploy/pbft.hpp"
 
 namespace failsig::baseline {
 namespace {
+
+using deploy::PbftDeployment;
+
+/// PBFT with 10 CPUs per node, the budget these tests' expectations were set under.
+deploy::DeploymentSpec pbft_spec(int replicas) {
+    deploy::DeploymentSpec spec;
+    spec.group_size = replicas;
+    spec.threads_per_node = 10;
+    return spec;
+}
+
+/// Each replica's delivered payloads in commit order; the tests' payloads
+/// name the replica that submitted them.
+class Delivered {
+public:
+    explicit Delivered(deploy::Deployment& d) : log_(static_cast<std::size_t>(d.group_size())) {
+        deploy::Observers observers;
+        observers.delivered = [this](int replica, const Bytes& payload) {
+            log_[static_cast<std::size_t>(replica)].push_back(string_of(payload));
+        };
+        d.attach(std::move(observers));
+    }
+
+    const std::vector<std::string>& operator()(ReplicaId r) const { return log_.at(r); }
+
+private:
+    std::vector<std::vector<std::string>> log_;
+};
 
 TEST(PbftWire, ClientRequestRoundTrip) {
     ClientRequest r;
@@ -49,92 +77,87 @@ TEST(PbftReplicaConfig, RejectsTooFewReplicas) {
 }
 
 TEST(Pbft, FaultFreeTotalOrderAcrossReplicas) {
-    PbftOptions opts;
-    opts.replicas = 4;
-    PbftDeployment d(opts);
+    PbftDeployment d(pbft_spec(4));
+    Delivered delivered(d);
 
     for (int k = 0; k < 5; ++k) {
         for (ReplicaId r = 0; r < 4; ++r) {
             d.submit(r, bytes_of("k" + std::to_string(k) + "r" + std::to_string(r)));
         }
     }
-    d.sim().run();
+    d.run();
 
-    EXPECT_EQ(d.delivered(0).size(), 20u);
+    EXPECT_EQ(delivered(0).size(), 20u);
     for (ReplicaId r = 1; r < 4; ++r) {
-        EXPECT_EQ(d.delivered(r), d.delivered(0)) << "replica " << r << " disagrees";
+        EXPECT_EQ(delivered(r), delivered(0)) << "replica " << r << " disagrees";
     }
     EXPECT_EQ(d.replica(0).view_changes(), 0u);
 }
 
 TEST(Pbft, SevenReplicasToleratesTwoFaults) {
-    PbftOptions opts;
-    opts.replicas = 7;
-    PbftDeployment d(opts);
+    PbftDeployment d(pbft_spec(7));
+    Delivered delivered(d);
     EXPECT_EQ(d.replica(0).f(), 2u);
-    d.submit(3, bytes_of("x"));
-    d.sim().run();
+    d.submit(3, bytes_of("3:x"));
+    d.run();
     for (ReplicaId r = 0; r < 7; ++r) {
-        EXPECT_EQ(d.delivered(r), std::vector<std::string>{"3:x"});
+        EXPECT_EQ(delivered(r), std::vector<std::string>{"3:x"});
     }
 }
 
 TEST(Pbft, DuplicateRequestsOrderedOnce) {
-    PbftOptions opts;
-    opts.replicas = 4;
-    PbftDeployment d(opts);
+    PbftDeployment d(pbft_spec(4));
+    Delivered delivered(d);
     ClientRequest req;
     req.origin = 1;
     req.origin_seq = 1;
     req.payload = bytes_of("once");
     // Submit the identical request twice at the primary.
-    d.replica(0);  // primary is replica 0 in view 0
+    EXPECT_EQ(d.replica(0).primary(), 0u);  // primary is replica 0 in view 0
     for (int i = 0; i < 2; ++i) {
         // mimic a client retransmission by feeding the same encoded request
         d.submit(1, bytes_of("once"));
     }
-    d.sim().run();
+    d.run();
     // Two submits with distinct origin_seq are two messages, so instead craft
     // a literal duplicate through the servant is not exposed; assert FIFO
     // count here:
-    EXPECT_EQ(d.delivered(0).size(), 2u);
+    EXPECT_EQ(delivered(0).size(), 2u);
 }
 
 TEST(Pbft, CrashedBackupDoesNotBlockProgress) {
-    PbftOptions opts;
-    opts.replicas = 4;
-    PbftDeployment d(opts);
+    PbftDeployment d(pbft_spec(4));
+    Delivered delivered(d);
     // Disconnect replica 3 (a backup): quorum 2f+1 = 3 still reachable.
     for (ReplicaId r = 0; r < 3; ++r) d.faults().block(d.node_of(3), d.node_of(r));
-    d.submit(0, bytes_of("go"));
-    d.sim().run();
+    d.submit(0, bytes_of("0:go"));
+    d.run();
     for (ReplicaId r = 0; r < 3; ++r) {
-        EXPECT_EQ(d.delivered(r), std::vector<std::string>{"0:go"});
+        EXPECT_EQ(delivered(r), std::vector<std::string>{"0:go"});
     }
-    EXPECT_TRUE(d.delivered(3).empty());
+    EXPECT_TRUE(delivered(3).empty());
 }
 
 TEST(Pbft, SilentPrimaryStallsUntilTimeoutViewChange) {
     // THE liveness contrast with the fail-signal approach: when the primary
     // is silent, nothing is delivered until a timeout triggers a view change.
-    PbftOptions opts;
-    opts.replicas = 4;
-    PbftDeployment d(opts);
+    PbftDeployment d(pbft_spec(4));
+    Delivered delivered(d);
 
     // Cut off the primary (replica 0 in view 0).
     for (ReplicaId r = 1; r < 4; ++r) d.faults().block(d.node_of(0), d.node_of(r));
 
-    d.submit(1, bytes_of("stuck"));
-    d.sim().run();  // quiesce: nothing can progress
+    d.submit(1, bytes_of("1:stuck"));
+    d.run();  // quiesce: nothing can progress
     for (ReplicaId r = 1; r < 4; ++r) {
-        EXPECT_TRUE(d.delivered(r).empty()) << "delivered without a primary?!";
+        EXPECT_TRUE(delivered(r).empty()) << "delivered without a primary?!";
     }
 
     // Only the timeout (a speculative liveness mechanism) unblocks things.
     d.fire_timeouts();
-    d.sim().run();
+    d.run();
     for (ReplicaId r = 1; r < 4; ++r) {
-        EXPECT_EQ(d.delivered(r), std::vector<std::string>{"1:stuck"}) << "replica " << r;
+        EXPECT_EQ(delivered(r), std::vector<std::string>{"1:stuck"}) << "replica " << r;
         EXPECT_GT(d.replica(r).view_changes(), 0u);
         EXPECT_EQ(d.replica(r).primary(), 1u);
     }
@@ -145,13 +168,11 @@ TEST(Pbft, MessageComplexityIsQuadratic) {
     // request — the cost profile the paper's §1 alludes to.
     std::uint64_t msgs_n4 = 0, msgs_n7 = 0;
     for (const std::uint32_t n : {4u, 7u}) {
-        PbftOptions opts;
-        opts.replicas = n;
-        PbftDeployment d(opts);
-        d.sim().run();
+        PbftDeployment d(pbft_spec(static_cast<int>(n)));
+        d.run();
         d.network().reset_stats();
         d.submit(0, bytes_of("m"));
-        d.sim().run();
+        d.run();
         (n == 4 ? msgs_n4 : msgs_n7) = d.network().messages_sent();
     }
     EXPECT_GT(msgs_n7, msgs_n4 * 2);  // super-linear growth

@@ -3,7 +3,7 @@
 // attach and fire, submissions are delivered with total-order agreement,
 // crashes silence the crashed member without stopping the healthy ones, and
 // capability-gated hooks report their absence instead of misbehaving. The
-// suite runs instantiated over all three registered systems TIMES both
+// suite runs instantiated over all three systems TIMES both
 // execution backends (deterministic simulator, real TCP sockets) — exactly
 // the guarantee the scenario engine's single generic path relies on.
 // Byte-identical replay is asserted on the sim backend only; everything

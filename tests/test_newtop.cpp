@@ -7,7 +7,7 @@
 
 #include <deque>
 
-#include "newtop/deployment.hpp"
+#include "deploy/newtop.hpp"
 
 namespace failsig::newtop {
 namespace {
@@ -35,10 +35,13 @@ TEST(NewTopWire, GcMessageRoundTrip) {
 }
 
 TEST(NewTopWire, GcMessageRejectsBadKind) {
-    GcMessage m;
-    Bytes wire = m.encode();
-    wire[0] = 99;
-    EXPECT_FALSE(GcMessage::decode(wire).has_value());
+    // 6 is unassigned: no kind may decode as it.
+    for (const std::uint8_t kind : {6, 99}) {
+        GcMessage m;
+        Bytes wire = m.encode();
+        wire[0] = kind;
+        EXPECT_FALSE(GcMessage::decode(wire).has_value()) << "kind " << int(kind);
+    }
 }
 
 TEST(NewTopWire, MulticastRequestRoundTrip) {
@@ -655,44 +658,43 @@ TEST(ViewFlush, SurvivorCrashMidFlushReproposesWithHigherViewId) {
 // ---------------------------------------------------------------------------
 
 TEST(NewTopDeployment, SymmetricTotalOrderAcrossTheWire) {
-    NewTopOptions opts;
-    opts.group_size = 4;
-    NewTopDeployment d(opts);
+    deploy::DeploymentSpec spec;
+    spec.group_size = 4;
+    deploy::NewTopDeployment d(spec);
 
+    // Each payload names its sender ("k<round>i<member>").
     std::vector<std::vector<std::string>> delivered(4);
-    for (int i = 0; i < 4; ++i) {
-        d.invocation(i).on_delivery([&delivered, i](const Delivery& dl) {
-            delivered[static_cast<std::size_t>(i)].push_back(std::to_string(dl.sender) + ":" +
-                                                             string_of(dl.payload));
-        });
-    }
+    deploy::Observers observers;
+    observers.delivered = [&delivered](int member, const Bytes& payload) {
+        delivered[static_cast<std::size_t>(member)].push_back(string_of(payload));
+    };
+    d.attach(std::move(observers));
     for (int k = 0; k < 5; ++k) {
         for (int i = 0; i < 4; ++i) {
-            d.invocation(i).multicast(ServiceType::kSymmetricTotalOrder,
-                                      bytes_of("k" + std::to_string(k) + "i" + std::to_string(i)));
+            d.submit(i, bytes_of("k" + std::to_string(k) + "i" + std::to_string(i)));
         }
     }
-    d.sim().run();
+    d.run();
 
     EXPECT_EQ(delivered[0].size(), 20u);
     for (int i = 1; i < 4; ++i) EXPECT_EQ(delivered[static_cast<std::size_t>(i)], delivered[0]);
 }
 
 TEST(NewTopDeployment, CrashDetectionRemovesMemberFromView) {
-    NewTopOptions opts;
-    opts.group_size = 3;
-    opts.start_suspectors = true;
-    opts.suspector.ping_interval = 50 * kMillisecond;
-    opts.suspector.suspect_timeout = 300 * kMillisecond;
-    NewTopDeployment d(opts);
+    deploy::DeploymentSpec spec;
+    spec.group_size = 3;
+    spec.start_suspectors = true;
+    spec.suspector.ping_interval = 50 * kMillisecond;
+    spec.suspector.suspect_timeout = 300 * kMillisecond;
+    deploy::NewTopDeployment d(spec);
 
     // "Crash" member 2 by cutting its node off the network.
     d.faults().block(d.node_of(2), d.node_of(0));
     d.faults().block(d.node_of(2), d.node_of(1));
 
-    d.sim().run_until(3 * kSecond);
-    d.stop_suspectors();
-    d.sim().run();
+    d.run_until(3 * kSecond);
+    d.stop_perpetual();
+    d.run();
 
     EXPECT_EQ(d.gc(0).view().members, (std::vector<MemberId>{0, 1}));
     EXPECT_EQ(d.gc(1).view().members, (std::vector<MemberId>{0, 1}));
@@ -703,21 +705,21 @@ TEST(NewTopDeployment, FalseSuspicionSplitsGroupWithoutAnyFailure) {
     // The paper's motivating pathology: a delay surge (no crash!) makes the
     // timeout-based suspectors fire, and connected, operational processes
     // split into sub-groups.
-    NewTopOptions opts;
-    opts.group_size = 3;
-    opts.start_suspectors = true;
-    opts.suspector.ping_interval = 50 * kMillisecond;
-    opts.suspector.suspect_timeout = 200 * kMillisecond;
-    NewTopDeployment d(opts);
+    deploy::DeploymentSpec spec;
+    spec.group_size = 3;
+    spec.start_suspectors = true;
+    spec.suspector.ping_interval = 50 * kMillisecond;
+    spec.suspector.suspect_timeout = 200 * kMillisecond;
+    deploy::NewTopDeployment d(spec);
 
-    d.sim().run_until(500 * kMillisecond);  // healthy phase
+    d.run_until(500 * kMillisecond);  // healthy phase
     EXPECT_EQ(d.gc(0).view().members, (std::vector<MemberId>{0, 1, 2}));
 
     // Delay surge far above the suspect timeout, for 2 simulated seconds.
-    d.faults().delay_surge(1 * kSecond, d.sim().now() + 2 * kSecond);
-    d.sim().run_until(d.sim().now() + 5 * kSecond);
-    d.stop_suspectors();
-    d.sim().run();
+    d.faults().delay_surge(1 * kSecond, d.now() + 2 * kSecond);
+    d.run_until(d.now() + 5 * kSecond);
+    d.stop_perpetual();
+    d.run();
 
     // At least one member no longer has the full view: the group split even
     // though no process failed.
@@ -728,14 +730,18 @@ TEST(NewTopDeployment, FalseSuspicionSplitsGroupWithoutAnyFailure) {
 }
 
 TEST(NewTopDeployment, MessageSizeAffectsNothingButPayload) {
-    NewTopOptions opts;
-    opts.group_size = 2;
-    NewTopDeployment d(opts);
+    deploy::DeploymentSpec spec;
+    spec.group_size = 2;
+    deploy::NewTopDeployment d(spec);
     std::vector<Bytes> got;
-    d.invocation(1).on_delivery([&](const Delivery& dl) { got.push_back(dl.payload); });
+    deploy::Observers observers;
+    observers.delivered = [&got](int member, const Bytes& payload) {
+        if (member == 1) got.push_back(payload);
+    };
+    d.attach(std::move(observers));
     const Bytes big(10000, 0xab);
-    d.invocation(0).multicast(ServiceType::kSymmetricTotalOrder, big);
-    d.sim().run();
+    d.submit(0, big);
+    d.run();
     ASSERT_EQ(got.size(), 1u);
     EXPECT_EQ(got[0], big);
 }

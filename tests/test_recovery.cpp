@@ -17,11 +17,11 @@
 #include <vector>
 
 #include "app/kv_store.hpp"
-#include "baseline/deployment.hpp"
 #include "baseline/pbft.hpp"
 #include "common/batch.hpp"
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
+#include "deploy/pbft.hpp"
 #include "explore/explore.hpp"
 #include "explore/repro.hpp"
 #include "newtop/wire.hpp"
@@ -396,11 +396,12 @@ TEST(PbftLogBoundedness, TenThousandRequestsKeepTheSlotMapUnderTwoWindows) {
     // 10k-request run must keep the per-replica slot map's high-water mark
     // under two checkpoint windows — the current open window plus whatever
     // the previous stable checkpoint had not yet truncated.
-    baseline::PbftOptions opts;
-    opts.replicas = 4;
-    opts.seed = 11;
-    opts.checkpoint_interval = 100;
-    baseline::PbftDeployment d(opts);
+    deploy::DeploymentSpec spec;
+    spec.group_size = 4;
+    spec.threads_per_node = 10;
+    spec.seed = 11;
+    spec.checkpoint_interval = 100;
+    deploy::PbftDeployment d(spec);
 
     constexpr int kWaves = 100;
     constexpr int kPerWave = 100;  // paced at one checkpoint window per wave
@@ -408,26 +409,26 @@ TEST(PbftLogBoundedness, TenThousandRequestsKeepTheSlotMapUnderTwoWindows) {
         for (int i = 0; i < kPerWave; ++i) {
             d.submit(0, request_body(0, static_cast<std::uint32_t>(wave * kPerWave + i)));
         }
-        d.sim().run();
+        d.run();
     }
 
     const std::uint64_t total = static_cast<std::uint64_t>(kWaves) * kPerWave;
-    for (baseline::ReplicaId r = 0; r < d.replica_count(); ++r) {
+    for (baseline::ReplicaId r = 0; r < 4; ++r) {
         const auto& rep = d.replica(r);
-        EXPECT_EQ(d.delivered(r).size(), total) << "replica " << int(r);
+        EXPECT_EQ(rep.app().applied(), total) << "replica " << int(r);
         EXPECT_GT(rep.checkpoints_taken(), 0u) << "replica " << int(r);
         EXPECT_GT(rep.log_slots_truncated(), 0u) << "replica " << int(r);
-        EXPECT_LT(rep.log_slots_retained(), 2 * opts.checkpoint_interval)
+        EXPECT_LT(rep.log_slots_retained(), 2 * spec.checkpoint_interval)
             << "replica " << int(r) << ": slot map high-water mark is unbounded";
         // Everything committed and stable-checkpointed must be gone; only
         // the tail above the last stable watermark may remain.
-        EXPECT_GE(rep.log_slots_truncated(), total - 2 * opts.checkpoint_interval)
+        EXPECT_GE(rep.log_slots_truncated(), total - 2 * spec.checkpoint_interval)
             << "replica " << int(r);
     }
     // And the replicated app converged on every replica.
     const auto& app0 = d.replica(0).app();
     EXPECT_EQ(app0.applied(), total);
-    for (baseline::ReplicaId r = 1; r < d.replica_count(); ++r) {
+    for (baseline::ReplicaId r = 1; r < 4; ++r) {
         EXPECT_TRUE(d.replica(r).app().state_equals(app0)) << "replica " << int(r);
     }
 }

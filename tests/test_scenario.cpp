@@ -2,9 +2,11 @@
 // Scenario — byte-identical traces), fault-free invariant passes on all
 // three stacks, the paper's central contrast (a delay surge trips the
 // no-false-exclusion invariant on crash-tolerant NewTOP but not on
-// FS-NewTOP), sweep fan-out, and the JSON/CSV report renderings.
+// FS-NewTOP), pinned canonical trace hashes, sweep fan-out, and the JSON/CSV
+// report renderings.
 #include <gtest/gtest.h>
 
+#include "explore/explore.hpp"
 #include "scenario/cli.hpp"
 #include "scenario/report.hpp"
 #include "scenario/runner.hpp"
@@ -72,6 +74,77 @@ TEST(ScenarioEngine, FaultCampaignTraceIsDeterministicToo) {
     const auto a = run_scenario(s);
     const auto b = run_scenario(s);
     EXPECT_EQ(a.trace.canonical(), b.trace.canonical());
+}
+
+// --- pinned canonical traces -------------------------------------------------
+
+Scenario pinned_batched(SystemKind system) {
+    Scenario s = fault_free(system, system == SystemKind::kPbft ? 4 : 3, 17);
+    s.name = "pin/batched";
+    s.workload.msgs_per_member = 8;
+    s.workload.send_interval = 1 * kMillisecond;  // dense enough to fill batches
+    s.batch.max_requests = 4;
+    return s;
+}
+
+/// crash -> recover with checkpoints (the recovery arc of test_recovery).
+Scenario pinned_recovery(SystemKind system) {
+    Scenario s = fault_free(system, system == SystemKind::kPbft ? 4 : 3, 21);
+    s.name = "pin/recovery";
+    s.checkpoint_interval = 3;
+    s.workload.msgs_per_member = 4;
+    const int victim = s.group_size - 1;
+    s.timeline.push_back(ScenarioEvent::crash(600 * kMillisecond, victim));
+    s.timeline.push_back(ScenarioEvent::burst(1500 * kMillisecond, 0, 3));
+    s.timeline.push_back(ScenarioEvent::recover(4 * kSecond, victim));
+    s.timeline.push_back(ScenarioEvent::burst(8 * kSecond, 0, 2));
+    s.deadline = 11 * kSecond;
+    if (system == SystemKind::kNewTop) {
+        s.start_suspectors = true;
+        s.suspector.ping_interval = 50 * kMillisecond;
+        s.suspector.suspect_timeout = 300 * kMillisecond;
+    }
+    if (system == SystemKind::kFsNewTop) s.placement = fsnewtop::Placement::kFull;
+    return s;
+}
+
+TEST(ScenarioEngine, CanonicalTraceHashesArePinned) {
+    // A refactor proves "no behaviour change" here: any drift in event
+    // order, timing or content changes a hash.
+    Scenario corrupt = fault_free(SystemKind::kFsNewTop, 3, 9);
+    corrupt.name = "pin/fs-corrupt";
+    fs::FaultPlan plan;
+    plan.corrupt_outputs = true;
+    corrupt.timeline.push_back(
+        ScenarioEvent::fault(150 * kMillisecond, 2, PairNode::kFollower, plan));
+    corrupt.deadline = 45 * kSecond;
+
+    Scenario timeouts = fault_free(SystemKind::kPbft, 4, 5);
+    timeouts.name = "pin/pbft-timeouts";
+    timeouts.timeline.push_back(ScenarioEvent::crash(250 * kMillisecond, 0));
+    timeouts.timeline.push_back(ScenarioEvent::fire_timeouts(2 * kSecond));
+
+    const struct {
+        Scenario scenario;
+        std::uint64_t hash;
+    } pins[] = {
+        {pinned_batched(SystemKind::kNewTop), 0x866ceae10e065f92ull},
+        {pinned_batched(SystemKind::kFsNewTop), 0xeb2fbf258f3dcffcull},
+        {pinned_batched(SystemKind::kPbft), 0xbb31a6078e8e6660ull},
+        {pinned_recovery(SystemKind::kNewTop), 0xb3a30eec3018631aull},
+        {pinned_recovery(SystemKind::kFsNewTop), 0x6126e5a681469009ull},
+        {pinned_recovery(SystemKind::kPbft), 0x8ff3f32a40cb499dull},
+        {corrupt, 0x9c5b446c50e509c8ull},
+        {timeouts, 0xd2cb41c321898ea0ull},
+    };
+    for (const auto& pin : pins) {
+        const std::uint64_t got = explore::fnv1a(run_scenario(pin.scenario).trace.canonical());
+        EXPECT_EQ(got, pin.hash)
+            << pin.scenario.name << " on " << name_of(pin.scenario.system)
+            << ": the canonical trace now hashes to 0x" << std::hex << got
+            << ". The simulator's behaviour changed; refreshing this constant "
+               "needs a stated reason in CHANGES.md.";
+    }
 }
 
 // --- fault-free runs ---------------------------------------------------------
