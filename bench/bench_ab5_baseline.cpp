@@ -27,20 +27,19 @@ struct BaselineResult {
     double msgs_per_request;
 };
 
-/// The stack's spec for this bench. PBFT runs on 10 CPUs per node and
-/// FS-NewTOP on the paper's 2 (see DeploymentSpec::threads_per_node).
-deploy::DeploymentSpec spec_of(scenario::SystemKind system, int group, std::uint64_t seed) {
+/// The stack's spec for this bench: both stacks run on DeploymentSpec's
+/// 2 CPUs per node, so the comparison spends one CPU budget.
+deploy::DeploymentSpec spec_of(int group, std::uint64_t seed) {
     deploy::DeploymentSpec spec;
     spec.group_size = group;
     spec.seed = seed;
-    if (system == scenario::SystemKind::kPbft) spec.threads_per_node = 10;
     return spec;
 }
 
 /// Warm-up request, then one request at a time from rotating members.
 BaselineResult measure(scenario::SystemKind system, int group, int requests,
                        std::uint64_t seed) {
-    const auto d = deploy::make_deployment(system, spec_of(system, group, seed));
+    const auto d = deploy::make_deployment(system, spec_of(group, seed));
     d->submit(0, bytes_of("warm"));
     d->run();
     d->network().reset_stats();
@@ -109,7 +108,7 @@ int main(int argc, char** argv) {
     // Liveness contrast.
     std::printf("\nLiveness when a key component goes silent:\n");
     {
-        deploy::PbftDeployment d(spec_of(scenario::SystemKind::kPbft, 4, seed));
+        deploy::PbftDeployment d(spec_of(4, seed));
         std::size_t delivered_at_1 = 0;
         deploy::Observers observers;
         observers.delivered = [&delivered_at_1](int replica, const Bytes&) {
@@ -127,7 +126,7 @@ int main(int argc, char** argv) {
                     stalled ? "stalled (nothing delivered)" : "progressed?!", delivered_at_1);
     }
     {
-        deploy::DeploymentSpec spec = spec_of(scenario::SystemKind::kFsNewTop, 3, seed);
+        deploy::DeploymentSpec spec = spec_of(3, seed);
         spec.placement = fsnewtop::Placement::kFull;
         deploy::FsNewTopDeployment d(spec);
         d.submit(0, bytes_of("warm"));

@@ -417,7 +417,6 @@ void PbftReplica::try_deliver(Out& out) {
 }
 
 void PbftReplica::deliver(std::uint64_t seq, const ClientRequest& request, Out& out) {
-    ++delivered_count_;
     app_.apply(request.payload);
     if (cfg_.obs != nullptr) {
         cfg_.obs->span(obs::Stage::kOrdered, request.payload, cfg_.obs_member);

@@ -124,7 +124,6 @@ public:
     [[nodiscard]] std::uint64_t view() const { return view_; }
     [[nodiscard]] ReplicaId primary() const { return static_cast<ReplicaId>(view_ % cfg_.n); }
     [[nodiscard]] bool is_primary() const { return primary() == cfg_.self; }
-    [[nodiscard]] std::uint64_t delivered_count() const { return delivered_count_; }
     [[nodiscard]] std::uint32_t f() const { return (cfg_.n - 1) / 3; }
     [[nodiscard]] std::uint64_t view_changes() const { return view_changes_; }
 
@@ -183,7 +182,6 @@ private:
     std::set<std::pair<ReplicaId, std::uint64_t>> seen_requests_;
     std::vector<ClientRequest> pending_;   // awaiting assignment (non-primary backlog)
     std::map<std::uint64_t, std::set<ReplicaId>> view_change_votes_;
-    std::uint64_t delivered_count_{0};
     std::uint64_t view_changes_{0};
 
     // --- checkpoint / recovery state ---------------------------------------

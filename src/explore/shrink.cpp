@@ -1,5 +1,6 @@
 #include "explore/shrink.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "scenario/runner.hpp"
@@ -53,18 +54,30 @@ bool try_step(Scenario& current, const std::string& invariant,
     return true;
 }
 
+/// Erases timeline event `i`. A crash takes the same member's next recover
+/// with it: a recover of a live member is an arc no grammar draws.
+void erase_event(Scenario& s, std::size_t i) {
+    const auto at = s.timeline.begin() + static_cast<std::ptrdiff_t>(i);
+    if (at->kind == ScenarioEvent::Kind::kCrashMember) {
+        const auto recover = std::find_if(at + 1, s.timeline.end(), [&](const ScenarioEvent& e) {
+            return e.kind == ScenarioEvent::Kind::kRecoverMember && e.member == at->member;
+        });
+        if (recover != s.timeline.end()) s.timeline.erase(recover);
+    }
+    s.timeline.erase(s.timeline.begin() + static_cast<std::ptrdiff_t>(i));
+}
+
 /// Phase 2: event removal to a fixpoint. After this returns, removing any
-/// single remaining event makes the violation vanish (1-minimality).
+/// single remaining event (a crash together with its recover) makes the
+/// violation vanish (1-minimality).
 void remove_events(Scenario& current, const std::string& invariant,
                    const std::vector<const Invariant*>& checkers, int& runs) {
     bool removed = true;
     while (removed) {
         removed = false;
         for (std::size_t i = 0; i < current.timeline.size(); ++i) {
-            if (try_step(current, invariant, checkers, runs, [i](Scenario& c) {
-                    c.timeline.erase(c.timeline.begin() +
-                                     static_cast<std::ptrdiff_t>(i));
-                })) {
+            if (try_step(current, invariant, checkers, runs,
+                         [i](Scenario& c) { erase_event(c, i); })) {
                 removed = true;
                 break;  // indices shifted; rescan from the front
             }

@@ -9,7 +9,9 @@
 //   1. drop the schedule perturbation (tie_break_seed = 0) if the failure
 //      survives the default FIFO schedule;
 //   2. remove timeline events one at a time to a fixpoint — the result is
-//      1-minimal: removing ANY remaining event makes the violation vanish;
+//      1-minimal: removing ANY remaining event makes the violation vanish
+//      (a crash is removed together with the same member's next recover,
+//      so a shrunk timeline never recovers a live member);
 //   3. simplify surviving events field-by-field (clear fault-plan flags,
 //      zero extra delays, shrink burst sizes, force probability to 1);
 //   4. shrink the background workload (fewer messages per member).

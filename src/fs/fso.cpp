@@ -444,7 +444,6 @@ void Fso::try_match(const OutputId& id) {
             return;
         }
         env.add_signature(rt_.keys.signer(principal_));
-        ++outputs_transmitted_;
         transmit(record, env.encode());
     });
 }

@@ -127,7 +127,6 @@ public:
     [[nodiscard]] const std::string& principal() const { return principal_; }
     [[nodiscard]] bool signalling() const { return signalling_; }
     [[nodiscard]] std::uint64_t inputs_ordered() const { return inputs_ordered_; }
-    [[nodiscard]] std::uint64_t outputs_transmitted() const { return outputs_transmitted_; }
     [[nodiscard]] std::uint64_t fail_signals_sent() const { return fail_signals_sent_; }
     [[nodiscard]] DeterministicService& service() { return *service_; }
 
@@ -261,7 +260,6 @@ private:
 
     std::uint64_t next_raw_request_id_{1};
     std::uint64_t inputs_ordered_{0};
-    std::uint64_t outputs_transmitted_{0};
     std::uint64_t fail_signals_sent_{0};
 };
 

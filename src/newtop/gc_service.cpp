@@ -79,8 +79,7 @@ void GcService::on_multicast(const MulticastRequest& request, Out& out) {
     if (flush_pending_ != 0) {
         // View-synchronous gate: no new traffic enters the old view once the
         // flush has started. Held requests are replayed into the new view by
-        // install_view (the Invocation layer gates too, on kFlushBegin; this
-        // is the GC-side backstop for callers that bypass it).
+        // install_view.
         flush_held_multicasts_.push_back(request);
         return;
     }
@@ -174,9 +173,9 @@ void GcService::on_gc_message(const GcMessage& msg, Out& out) {
     // View and join protocol messages are accepted from outside the current
     // view (proposed members, a rejoining member, grants that overtake the
     // install on the wire); all other traffic must come from a view member.
-    const bool is_view_msg = msg.kind == GcKind::kViewPropose || msg.kind == GcKind::kViewAck ||
-                             msg.kind == GcKind::kFlushState || msg.kind == GcKind::kFlushDone ||
-                             msg.kind == GcKind::kJoinRequest || msg.kind == GcKind::kJoinGrant;
+    const bool is_view_msg = msg.kind == GcKind::kViewPropose || msg.kind == GcKind::kFlushState ||
+                             msg.kind == GcKind::kFlushDone || msg.kind == GcKind::kJoinRequest ||
+                             msg.kind == GcKind::kJoinGrant;
     if (joining_ && !is_view_msg) {
         // Mid-join the local protocol positions are meaningless; park the
         // ordinary traffic and replay it once the grants define where the
@@ -215,7 +214,6 @@ void GcService::on_gc_message(const GcMessage& msg, Out& out) {
         case GcKind::kAck: enqueue_sym_stream(msg, out); break;
         case GcKind::kOrder: handle_asym_order(msg, out); break;
         case GcKind::kViewPropose: handle_view_propose(msg, out); break;
-        case GcKind::kViewAck: handle_view_ack(msg, out); break;
         case GcKind::kFlushState: handle_flush_state(msg, out); break;
         case GcKind::kFlushDone: handle_flush_done(msg, out); break;
         case GcKind::kJoinRequest: handle_join_request(msg, out); break;
@@ -484,16 +482,17 @@ void GcService::maybe_propose_view(Out& out) {
     candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
     if (candidates.empty()) return;
     // The coordinator is the lowest *survivor*: a pending joiner has no
-    // ordering state to merge a flush from, so it never leads.
-    const auto coord = std::find_if(candidates.begin(), candidates.end(),
-                                    [&](MemberId m) { return view_.contains(m); });
+    // ordering state to merge a flush from, so it never leads — not even a
+    // member that restarted before anyone excluded it, which is still in the
+    // view (the same rule as plausible_coordinator).
+    const auto coord = std::find_if(candidates.begin(), candidates.end(), [&](MemberId m) {
+        return view_.contains(m) && !join_pending_.contains(m);
+    });
     if (coord == candidates.end() || *coord != cfg_.self) return;  // not the coordinator
 
     const std::uint64_t id =
         std::max({view_.view_id, last_proposed_id_, highest_view_seen_}) + 1;
     last_proposed_id_ = id;
-    proposed_members_ = candidates;
-    view_acks_ = {cfg_.self};
 
     if (candidates.size() == 1) {
         // Sole survivor: nobody left to flush with; our own history is the
@@ -504,11 +503,10 @@ void GcService::maybe_propose_view(Out& out) {
     // Open the flush round for this proposal and seed it with our own state.
     // A re-propose (survivor crashed mid-flush) lands here again with a
     // higher id: a fresh round is keyed in, and stale states are ignored.
-    enter_flush(id, out);
+    enter_flush(id);
     auto& round = flush_rounds_[id];
     round.members = candidates;
     merge_flush_state(round, cfg_.self, local_flush_state());
-    round.states_received.insert(cfg_.self);
     GcMessage propose;
     propose.kind = GcKind::kViewPropose;
     propose.sender = cfg_.self;
@@ -529,16 +527,11 @@ void GcService::handle_view_propose(const GcMessage& msg, Out& out) {
     }
     if (!plausible_coordinator(msg)) return;
 
-    GcMessage ack;
-    ack.kind = GcKind::kViewAck;
-    ack.sender = cfg_.self;
-    ack.view_id = msg.view_id;
-    send_to(msg.sender, ack, out);
-
     // Accepting the proposal starts the flush: freeze old-view traffic and
     // hand the coordinator our watermarks plus every old-view body we can
     // still supply, so the merged cut covers what any survivor is missing.
-    enter_flush(msg.view_id, out);
+    // The FlushState is also our acceptance of the proposal.
+    enter_flush(msg.view_id);
     GcMessage state;
     state.kind = GcKind::kFlushState;
     state.sender = cfg_.self;
@@ -548,21 +541,10 @@ void GcService::handle_view_propose(const GcMessage& msg, Out& out) {
     if (cfg_.obs != nullptr) cfg_.obs->flush_message();
 }
 
-void GcService::handle_view_ack(const GcMessage& msg, Out& out) {
-    if (msg.view_id != last_proposed_id_) return;
-    view_acks_.insert(msg.sender);
-    // Installation now additionally waits for every survivor's FlushState;
-    // whichever of the last ack / last state arrives second completes the
-    // round (they travel as independent signed streams under FS and may
-    // overtake each other).
-    maybe_complete_flush(out);
-}
-
 void GcService::install_view(std::uint64_t view_id, std::vector<MemberId> members, Out& out) {
     view_.view_id = view_id;
     view_.members = std::move(members);
     highest_view_seen_ = std::max(highest_view_seen_, view_id);
-    ++views_installed_;
     FAILSIG_LOG(LogLevel::kInfo, GC)
         << "member " << cfg_.self << " installs " << newtop::to_string(view_);
 
@@ -700,8 +682,6 @@ void GcService::begin_rejoin(Out& out) {
     fifo_next_[cfg_.self] = 1;
     fifo_buffer_.clear();
     last_proposed_id_ = 0;
-    proposed_members_.clear();
-    view_acks_.clear();
     flush_pending_ = 0;
     flush_rounds_.clear();
     flush_deferred_.clear();
@@ -885,7 +865,7 @@ void GcService::maybe_complete_join(Out& out) {
 // erases every round at or below the installed id.
 // ---------------------------------------------------------------------------
 
-void GcService::enter_flush(std::uint64_t proposal_id, Out& out) {
+void GcService::enter_flush(std::uint64_t proposal_id) {
     if (proposal_id <= flush_pending_) return;
     const bool entering = flush_pending_ == 0;
     flush_pending_ = proposal_id;
@@ -893,10 +873,6 @@ void GcService::enter_flush(std::uint64_t proposal_id, Out& out) {
     FAILSIG_LOG(LogLevel::kDebug, GC)
         << "member " << cfg_.self << " enters flush for proposal " << proposal_id;
     if (cfg_.obs != nullptr) cfg_.obs->flush_begin(cfg_.obs_member);
-    // Tell the Invocation layer to hold new multicasts until the next kView.
-    Delivery d;
-    d.kind = Delivery::Kind::kFlushBegin;
-    deliver(std::move(d), out);
 }
 
 FlushState GcService::local_flush_state() const {
@@ -935,11 +911,10 @@ void GcService::handle_flush_state(const GcMessage& msg, Out& out) {
         round.members.end()) {
         return;
     }
-    if (round.states_received.contains(msg.sender)) return;  // duplicate
+    if (round.sym_marks.contains(msg.sender)) return;  // duplicate
     auto state = FlushState::decode(msg.payload);
     if (!state.has_value()) return;
     merge_flush_state(round, msg.sender, state.value());
-    round.states_received.insert(msg.sender);
     if (cfg_.obs != nullptr) cfg_.obs->flush_message();
     maybe_complete_flush(out);
 }
@@ -949,12 +924,10 @@ void GcService::maybe_complete_flush(Out& out) {
     const auto round_it = flush_rounds_.find(last_proposed_id_);
     if (round_it == flush_rounds_.end()) return;
     FlushRound& round = round_it->second;
-    const bool acked = std::all_of(proposed_members_.begin(), proposed_members_.end(),
-                                   [&](MemberId m) { return view_acks_.contains(m); });
-    const bool stated =
-        std::all_of(round.members.begin(), round.members.end(),
-                    [&](MemberId m) { return round.states_received.contains(m); });
-    if (!acked || !stated) return;
+    if (!std::all_of(round.members.begin(), round.members.end(),
+                     [&](MemberId m) { return round.sym_marks.contains(m); })) {
+        return;
+    }
 
     // The agreed cut: the union of everything any survivor can supply,
     // pruned below the minimum watermark (if everyone delivered it, nobody
@@ -1145,7 +1118,6 @@ void GcService::broadcast(const GcMessage& msg, Out& out) {
 
 void GcService::deliver(Delivery d, Out& out) {
     if (d.kind == Delivery::Kind::kMessage) {
-        ++delivered_count_;
         // The replicated KV app consumes the totally ordered services only:
         // causal/FIFO/unreliable deliveries interleave differently at every
         // member, so folding them in would diverge the digests even on

@@ -71,18 +71,12 @@ public:
     // --- introspection (tests, examples, benches) -------------------------
     [[nodiscard]] const GroupView& view() const { return view_; }
     [[nodiscard]] MemberId self() const { return cfg_.self; }
-    [[nodiscard]] std::uint64_t messages_delivered() const { return delivered_count_; }
-    [[nodiscard]] std::uint64_t views_installed() const { return views_installed_; }
-    [[nodiscard]] const std::set<MemberId>& suspected() const { return suspected_; }
-    [[nodiscard]] std::size_t symmetric_backlog() const { return sym_buffer_.size(); }
     /// True while a view-change flush round is in progress (new application
     /// traffic is held and the symmetric stream is deferred).
     [[nodiscard]] bool flushing() const { return flush_pending_ != 0; }
     /// The replicated KV application this GC drives (totally ordered
     /// deliveries only — see deliver()).
     [[nodiscard]] const app::KvStore& app() const { return app_; }
-    /// True between "__rejoin" and the completed grant exchange.
-    [[nodiscard]] bool joining() const { return joining_; }
     [[nodiscard]] std::uint64_t rejoins_completed() const { return rejoins_completed_; }
     /// Retained-log entries dropped by the hard caps (not watermark prunes).
     [[nodiscard]] std::uint64_t flush_log_evictions() const { return flush_log_evictions_; }
@@ -120,7 +114,6 @@ private:
     // membership
     void maybe_propose_view(Out& out);
     void handle_view_propose(const GcMessage& msg, Out& out);
-    void handle_view_ack(const GcMessage& msg, Out& out);
     void install_view(std::uint64_t view_id, std::vector<MemberId> members, Out& out);
     /// True iff `msg.sender` is the lowest member of `msg.view_members` that
     /// is not a pending joiner (joiners never coordinate: they have no state
@@ -138,15 +131,15 @@ private:
     /// Coordinator-side accumulator for one flush round. Rounds are keyed by
     /// proposal id in flush_rounds_ so a re-propose (survivor crashed
     /// mid-flush) starts a fresh round and stale states are discarded.
+    /// A member's state has arrived iff it has an entry in sym_marks.
     struct FlushRound {
         std::vector<MemberId> members;
-        std::set<MemberId> states_received;
         std::map<std::pair<std::uint64_t, MemberId>, GcMessage> sym_entries;
         std::map<std::uint64_t, GcMessage> asym_entries;
         std::map<MemberId, std::pair<std::uint64_t, MemberId>> sym_marks;
         std::map<MemberId, std::uint64_t> asym_marks;
     };
-    void enter_flush(std::uint64_t proposal_id, Out& out);
+    void enter_flush(std::uint64_t proposal_id);
     [[nodiscard]] FlushState local_flush_state() const;
     void merge_flush_state(FlushRound& round, MemberId sender, const FlushState& state);
     void handle_flush_state(const GcMessage& msg, Out& out);
@@ -195,8 +188,6 @@ private:
 
     // membership protocol
     std::uint64_t last_proposed_id_{0};
-    std::vector<MemberId> proposed_members_;
-    std::set<MemberId> view_acks_;
     std::uint64_t highest_view_seen_{0};
 
     // view-synchronous flush
@@ -244,8 +235,6 @@ private:
     /// Replicated deterministic application driven by the delivery upcall.
     app::KvStore app_;
 
-    std::uint64_t delivered_count_{0};
-    std::uint64_t views_installed_{0};
     std::uint64_t delivery_out_seq_{0};
     std::uint64_t rejoins_completed_{0};
     std::uint64_t flush_log_evictions_{0};

@@ -5,7 +5,7 @@ namespace failsig::newtop {
 void InvocationService::multicast(ServiceType service, Bytes payload) {
     if (obs_ != nullptr) obs_->span(obs::Stage::kSubmit, payload, obs_member_);
     if (!batcher_) {  // constructed without configure_batching (direct use)
-        submit_unit(service, std::move(payload));
+        do_multicast(service, std::move(payload));
         return;
     }
     if (batcher_->pending() > 0 && service != batch_service_) batcher_->flush_now();
@@ -20,7 +20,7 @@ void InvocationService::configure_batching(sim::Simulation& sim, BatchConfig con
         config,
         [this](Bytes unit, std::size_t) {
             if (obs_ != nullptr) trace_flush(unit);
-            submit_unit(batch_service_, std::move(unit));
+            do_multicast(batch_service_, std::move(unit));
         },
         [&sim](Duration delay, std::function<void()> fn) {
             sim.schedule_after(delay, std::move(fn));
@@ -62,30 +62,8 @@ void InvocationService::handle_delivery_bytes(const Bytes& body) {
     }
 }
 
-void InvocationService::submit_unit(ServiceType service, Bytes unit) {
-    if (flush_gated_) {
-        gated_units_.emplace_back(service, std::move(unit));
-        return;
-    }
-    do_multicast(service, std::move(unit));
-}
-
 void InvocationService::upcall(const Delivery& d) {
-    if (d.kind == Delivery::Kind::kFlushBegin) {
-        // A view-change flush started below: the old view takes no new
-        // traffic. Queue submissions until the install's kView arrives.
-        // Protocol-internal — never surfaced to the application.
-        flush_gated_ = true;
-        return;
-    }
     if (d.kind == Delivery::Kind::kView) {
-        last_view_ = d.view;
-        flush_gated_ = false;
-        // Units queued during the flush enter the new view first, ahead of
-        // anything the view handler may submit.
-        auto queued = std::move(gated_units_);
-        gated_units_.clear();
-        for (auto& [service, unit] : queued) do_multicast(service, std::move(unit));
         if (view_handler_) view_handler_(d.view);
         return;
     }
@@ -108,7 +86,6 @@ void InvocationService::upcall(const Delivery& d) {
 }
 
 void InvocationService::upcall_single(const Delivery& d) {
-    ++deliveries_;
     if (obs_ != nullptr) obs_->span(obs::Stage::kDelivered, d.payload, obs_member_);
     if (delivery_handler_) delivery_handler_(d);
 }

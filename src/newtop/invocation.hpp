@@ -56,14 +56,12 @@ public:
         obs_member_ = member;
     }
 
-    /// Crash-recovery reset: re-arms the delivery resequencer and drops the
-    /// flush gate so the rejoined GC's restarted delivery stream (seq 1, 2,
-    /// ...) is accepted. Call before submitting the GC's "__rejoin".
+    /// Crash-recovery reset: re-arms the delivery resequencer so the
+    /// rejoined GC's restarted delivery stream (seq 1, 2, ...) is accepted.
+    /// Call before submitting the GC's "__rejoin".
     void prepare_rejoin() {
         next_delivery_seq_ = 1;
         pending_deliveries_.clear();
-        flush_gated_ = false;
-        gated_units_.clear();
     }
 
     void on_delivery(DeliveryHandler handler) { delivery_handler_ = std::move(handler); }
@@ -72,18 +70,10 @@ public:
         failure_handler_ = std::move(handler);
     }
 
-    [[nodiscard]] std::uint64_t deliveries() const { return deliveries_; }
-    [[nodiscard]] const GroupView& last_view() const { return last_view_; }
-
 protected:
     /// Stack-specific submit path: hands one (possibly batch-framed) ordered
     /// unit to the GC below (plain local GC / FS-wrapped GC pair).
     virtual void do_multicast(ServiceType service, Bytes payload) = 0;
-
-    /// Gate in front of do_multicast: while a view-change flush is running
-    /// (kFlushBegin seen, next kView not yet) ordered units queue here and
-    /// drain into the new view on install.
-    void submit_unit(ServiceType service, Bytes unit);
 
     /// Common unmarshalling/re-sequencing/upcall path used by both variants.
     void handle_delivery_bytes(const Bytes& body);
@@ -95,8 +85,6 @@ protected:
     DeliveryHandler delivery_handler_;
     ViewHandler view_handler_;
     MiddlewareFailureHandler failure_handler_;
-    std::uint64_t deliveries_{0};
-    GroupView last_view_;
     obs::Obs* obs_{nullptr};
     int obs_member_{-1};
 
@@ -109,9 +97,6 @@ private:
     /// Service class of the open batch; a submit with a different class
     /// flushes first (batches never mix ordering semantics).
     ServiceType batch_service_{ServiceType::kSymmetricTotalOrder};
-    /// View-change flush gate state (see submit_unit).
-    bool flush_gated_{false};
-    std::vector<std::pair<ServiceType, Bytes>> gated_units_;
 };
 
 /// Invocation service of the original, crash-tolerant NewTOP.

@@ -32,7 +32,7 @@ Result<GcMessage> GcMessage::decode(std::span<const std::uint8_t> data) {
         ByteReader r(data);
         GcMessage m;
         const auto kind_raw = r.u8();
-        if (kind_raw < 1 || kind_raw > 10 || kind_raw == 6) {
+        if (kind_raw < 1 || kind_raw > 10 || kind_raw == 5 || kind_raw == 6) {
             return Result<GcMessage>::err("bad GcKind");
         }
         m.kind = static_cast<GcKind>(kind_raw);
@@ -202,7 +202,7 @@ Result<Delivery> Delivery::decode(std::span<const std::uint8_t> data) {
         ByteReader r(data);
         Delivery d;
         const auto kind_raw = r.u8();
-        if (kind_raw < 1 || kind_raw > 3) return Result<Delivery>::err("bad Delivery kind");
+        if (kind_raw < 1 || kind_raw > 2) return Result<Delivery>::err("bad Delivery kind");
         d.kind = static_cast<Kind>(kind_raw);
         d.delivery_seq = r.u64();
         d.sender = r.u32();

@@ -16,8 +16,8 @@ enum class GcKind : std::uint8_t {
     kAck = 2,          ///< Lamport-clock announcement (symmetric TO stability)
     kOrder = 3,        ///< sequencer order assignment (asymmetric TO)
     kViewPropose = 4,  ///< coordinator proposes a new view
-    kViewAck = 5,      ///< member accepts a proposed view
-    // 6 is unassigned and decode rejects it (kFlushDone performs the install).
+    // 5 and 6 are unassigned and decode rejects them: a survivor's
+    // kFlushState is its acceptance, and kFlushDone performs the install.
     kFlushState = 7,   ///< survivor -> coordinator: FlushState for a proposal
     kFlushDone = 8,    ///< coordinator -> survivors: agreed cut, then install
     kJoinRequest = 9,  ///< rejoining member asks the survivors for readmission
@@ -50,7 +50,7 @@ struct GcMessage {
     std::uint64_t global_seq{0};
     MemberId origin{0};            ///< original sender of the ordered message
 
-    // kViewPropose / kViewAck / kFlushState / kFlushDone
+    // kViewPropose / kFlushState / kFlushDone
     // (kFlushState and kFlushDone carry an encoded FlushState in `payload`;
     // nesting keeps every pre-flush message kind byte-identical on the wire)
     std::uint64_t view_id{0};
@@ -133,10 +133,7 @@ struct MulticastRequest {
 
 /// What the GC delivers up to the application layer.
 struct Delivery {
-    /// kFlushBegin tells the Invocation layer a view-change flush started:
-    /// it buffers new multicasts until the next kView delivery (the install)
-    /// releases them. Never surfaced to the application.
-    enum class Kind : std::uint8_t { kMessage = 1, kView = 2, kFlushBegin = 3 };
+    enum class Kind : std::uint8_t { kMessage = 1, kView = 2 };
     Kind kind{Kind::kMessage};
 
     /// Position in the GC's delivery stream (1, 2, 3, ...). The Invocation

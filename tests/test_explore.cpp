@@ -43,6 +43,19 @@ public:
     }
 };
 
+/// Declares every scenario that recovers a member a violation, whatever the
+/// run did: the shrinker may only keep the recover if it keeps its crash.
+class NoRecoveryInvariant final : public Invariant {
+public:
+    [[nodiscard]] std::string name() const override { return "synthetic-no-recovery"; }
+    [[nodiscard]] bool applicable(const scenario::Scenario&) const override { return true; }
+    [[nodiscard]] InvariantResult check(const scenario::Scenario& s,
+                                        const Trace&) const override {
+        if (s.has_recovery()) return {name(), false, "timeline recovers a member"};
+        return {name(), true, {}};
+    }
+};
+
 ExploreConfig small_config() {
     ExploreConfig config;
     config.systems = {SystemKind::kNewTop, SystemKind::kFsNewTop};
@@ -254,6 +267,26 @@ TEST(ExploreShrink, EmittedReproducerRerunsToTheSameViolation) {
     ASSERT_NE(verdict, nullptr);
     EXPECT_FALSE(verdict->passed);
     EXPECT_EQ(replay_trace, result.trace);
+}
+
+TEST(ExploreShrink, NeverSplitsACrashFromItsRecover) {
+    const NoRecoveryInvariant oracle;
+    const std::vector<const Invariant*> checkers{&oracle};
+    Scenario s;
+    s.name = "test/shrink-churn";
+    s.system = SystemKind::kPbft;
+    s.group_size = 4;
+    s.workload.msgs_per_member = 2;
+    s.timeline.push_back(ScenarioEvent::crash(100 * kMillisecond, 2));
+    s.timeline.push_back(ScenarioEvent::recover(1100 * kMillisecond, 2));
+    ASSERT_TRUE(still_fails(s, oracle.name(), checkers));
+
+    // Dropping the crash alone would leave a recover of a live member; the
+    // crash and its recover go together or not at all.
+    const auto result = shrink(s, oracle.name(), checkers);
+    ASSERT_EQ(result.minimal.timeline.size(), 2u);
+    EXPECT_EQ(result.minimal.timeline[0].kind, ScenarioEvent::Kind::kCrashMember);
+    EXPECT_EQ(result.minimal.timeline[1].kind, ScenarioEvent::Kind::kRecoverMember);
 }
 
 // --- end-to-end pipeline -------------------------------------------------------

@@ -78,7 +78,8 @@ TEST(FsNewTop, GcReplicasStayIdentical) {
     for (int i = 0; i < 3; ++i) d.submit(i, bytes_of("m"));
     d.run();
     for (int i = 0; i < 3; ++i) {
-        EXPECT_EQ(d.gc_leader(i).messages_delivered(), d.gc_follower(i).messages_delivered());
+        EXPECT_EQ(d.gc_leader(i).app().applied(), d.gc_follower(i).app().applied());
+        EXPECT_EQ(d.gc_leader(i).app().digest(), d.gc_follower(i).app().digest());
         EXPECT_EQ(d.gc_leader(i).view(), d.gc_follower(i).view());
     }
 }

@@ -35,8 +35,8 @@ TEST(NewTopWire, GcMessageRoundTrip) {
 }
 
 TEST(NewTopWire, GcMessageRejectsBadKind) {
-    // 6 is unassigned: no kind may decode as it.
-    for (const std::uint8_t kind : {6, 99}) {
+    // 5 and 6 are unassigned: no kind may decode as them.
+    for (const std::uint8_t kind : {5, 6, 99}) {
         GcMessage m;
         Bytes wire = m.encode();
         wire[0] = kind;
@@ -62,6 +62,16 @@ TEST(NewTopWire, DeliveryRoundTrip) {
     const auto decoded = Delivery::decode(d.encode());
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(decoded.value(), d);
+}
+
+TEST(NewTopWire, DeliveryRejectsBadKind) {
+    // Only kMessage (1) and kView (2) exist.
+    for (const std::uint8_t kind : {0, 3, 99}) {
+        Delivery d;
+        Bytes wire = d.encode();
+        wire[0] = kind;
+        EXPECT_FALSE(Delivery::decode(wire).has_value()) << "kind " << int(kind);
+    }
 }
 
 TEST(NewTopWire, TruncationRejected) {
@@ -238,6 +248,9 @@ public:
         route(at, members_[static_cast<std::size_t>(at)]->process("suspect", w.take()));
     }
 
+    /// Member i restarts from nothing and asks the others for readmission.
+    void rejoin(int i) { route(i, members_[static_cast<std::size_t>(i)]->process("__rejoin", {})); }
+
     /// Cuts both directions between a and b (messages silently dropped).
     void disconnect(int a, int b) {
         cut_.insert({a, b});
@@ -263,6 +276,8 @@ public:
     /// Delivered payload texts at member i, with sender prefix "s:text".
     std::vector<std::string> delivered(int i) const { return deliveries_[static_cast<std::size_t>(i)]; }
     const std::vector<GroupView>& views(int i) const { return views_[static_cast<std::size_t>(i)]; }
+    /// GC-to-GC messages put on a link so far, by kind (one per receiver).
+    const std::map<GcKind, int>& sent_by_kind() const { return sent_by_kind_; }
 
 private:
     void route(int from, const std::vector<fs::Outbound>& outputs) {
@@ -273,9 +288,7 @@ private:
                     ASSERT_TRUE(d.has_value());
                     if (d.value().kind == Delivery::Kind::kView) {
                         views_[static_cast<std::size_t>(from)].push_back(d.value().view);
-                    } else if (d.value().kind == Delivery::Kind::kMessage) {
-                        // kFlushBegin is protocol-internal (Invocation-layer
-                        // gating); only real messages count here.
+                    } else {
                         deliveries_[static_cast<std::size_t>(from)].push_back(
                             std::to_string(d.value().sender) + ":" +
                             string_of(d.value().payload));
@@ -283,6 +296,9 @@ private:
                 } else {
                     const int to = std::stoi(dest.fs_name.substr(2));
                     if (cut_.contains({from, to})) continue;
+                    if (out.operation == "gc") {
+                        ++sent_by_kind_[GcMessage::decode(out.body).value().kind];
+                    }
                     links_[{from, to}].emplace_back(out.operation, out.body);
                 }
             }
@@ -295,6 +311,7 @@ private:
     std::set<std::pair<int, int>> cut_;
     std::vector<std::vector<std::string>> deliveries_;
     std::vector<std::vector<GroupView>> views_;
+    std::map<GcKind, int> sent_by_kind_;
 };
 
 // --- symmetric total order -------------------------------------------------
@@ -651,6 +668,45 @@ TEST(ViewFlush, SurvivorCrashMidFlushReproposesWithHigherViewId) {
         EXPECT_FALSE(h.member(i).flushing()) << "member " << i;
     }
     EXPECT_GE(h.views(0).back().view_id, 3u);
+}
+
+TEST(ViewFlush, OneExclusionIsOneProposeStateDoneRound) {
+    // A view change is one round: the coordinator proposes, each survivor
+    // answers with its FlushState, the coordinator fans out the cut. Nothing
+    // else crosses the wire.
+    Harness h(4, 17);
+    for (const int alive : {0, 1, 3}) h.disconnect(alive, 2);
+    for (const int alive : {0, 1, 3}) h.suspect(alive, 2);
+    h.run();
+
+    const std::map<GcKind, int> want{
+        {GcKind::kViewPropose, 2}, {GcKind::kFlushState, 2}, {GcKind::kFlushDone, 2}};
+    EXPECT_EQ(h.sent_by_kind(), want);
+    for (const int i : {0, 1, 3}) {
+        ASSERT_FALSE(h.views(i).empty()) << "member " << i;
+        EXPECT_EQ(h.views(i).back().members, (std::vector<MemberId>{0, 1, 3}));
+    }
+}
+
+TEST(ViewFlush, LowestMemberRestartingBeforeExclusionRejoins) {
+    // Member 0 restarts while everyone still has it in the view. It is the
+    // lowest id but a pending joiner, so it must not be picked to lead:
+    // member 1 coordinates the view that readmits it. In this schedule
+    // every survivor sees the join request before the proposal.
+    Harness h(4, 19);
+    h.multicast(1, ServiceType::kSymmetricTotalOrder, "a");
+    h.multicast(2, ServiceType::kSymmetricTotalOrder, "b");
+    h.rejoin(0);
+    h.run();
+
+    for (int i = 0; i < 4; ++i) {
+        ASSERT_FALSE(h.views(i).empty()) << "member " << i;
+        EXPECT_EQ(h.views(i).back().members, (std::vector<MemberId>{0, 1, 2, 3}))
+            << "member " << i;
+        EXPECT_EQ(h.member(i).app().digest(), h.member(1).app().digest()) << "member " << i;
+    }
+    EXPECT_EQ(h.member(1).app().applied(), 2u);
+    EXPECT_EQ(h.member(0).rejoins_completed(), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -131,10 +131,10 @@ TEST(ScenarioEngine, CanonicalTraceHashesArePinned) {
         {pinned_batched(SystemKind::kNewTop), 0x866ceae10e065f92ull},
         {pinned_batched(SystemKind::kFsNewTop), 0xeb2fbf258f3dcffcull},
         {pinned_batched(SystemKind::kPbft), 0xbb31a6078e8e6660ull},
-        {pinned_recovery(SystemKind::kNewTop), 0xb3a30eec3018631aull},
-        {pinned_recovery(SystemKind::kFsNewTop), 0x6126e5a681469009ull},
+        {pinned_recovery(SystemKind::kNewTop), 0x72e88227a85fb881ull},
+        {pinned_recovery(SystemKind::kFsNewTop), 0x856ea4174639e123ull},
         {pinned_recovery(SystemKind::kPbft), 0x8ff3f32a40cb499dull},
-        {corrupt, 0x9c5b446c50e509c8ull},
+        {corrupt, 0x9aa8ea446e98ec3bull},
         {timeouts, 0xd2cb41c321898ea0ull},
     };
     for (const auto& pin : pins) {
