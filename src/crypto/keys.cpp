@@ -83,19 +83,22 @@ void update_prefixed(Sha256& h, std::span<const std::uint8_t> data) {
 KeyService::KeyService(Backend backend, std::size_t rsa_bits, std::uint64_t seed)
     : backend_(backend), rsa_bits_(rsa_bits), rng_(seed) {}
 
+void KeyService::add_entry(const std::string& name, std::unique_ptr<Signer> signer,
+                           std::unique_ptr<Verifier> verifier) {
+    entries_[name] = Entry{std::move(signer), std::move(verifier), next_epoch_++};
+}
+
 void KeyService::make_entry(const std::string& name) {
-    Entry entry;
     if (backend_ == Backend::kRsa) {
         auto kp = rsa_generate(rsa_bits_, rng_);
-        entry.signer = std::make_unique<RsaSigner>(name, std::move(kp.priv));
-        entry.verifier = std::make_unique<RsaVerifier>(std::move(kp.pub));
+        add_entry(name, std::make_unique<RsaSigner>(name, std::move(kp.priv)),
+                  std::make_unique<RsaVerifier>(std::move(kp.pub)));
     } else {
         Bytes key(32);
         for (auto& b : key) b = static_cast<std::uint8_t>(rng_.next());
-        entry.signer = std::make_unique<HmacSigner>(name, key);
-        entry.verifier = std::make_unique<HmacVerifier>(key);
+        add_entry(name, std::make_unique<HmacSigner>(name, key),
+                  std::make_unique<HmacVerifier>(key));
     }
-    entries_[name] = std::move(entry);
 }
 
 void KeyService::register_principal(const std::string& name) {
@@ -118,10 +121,7 @@ void KeyService::register_link(const std::string& a, const std::string& b) {
     // trade-off only makes sense against asymmetric per-principal keys.
     Bytes key(32);
     for (auto& kb : key) kb = static_cast<std::uint8_t>(rng_.next());
-    Entry entry;
-    entry.signer = std::make_unique<HmacSigner>(name, key);
-    entry.verifier = std::make_unique<HmacVerifier>(key);
-    entries_[name] = std::move(entry);
+    add_entry(name, std::make_unique<HmacSigner>(name, key), std::make_unique<HmacVerifier>(key));
 }
 
 bool KeyService::verify_cached(const std::string& name, std::span<const std::uint8_t> message,
@@ -132,19 +132,38 @@ bool KeyService::verify_cached(const std::string& name, std::span<const std::uin
     Sha256 h;
     update_prefixed(h, message);
     update_prefixed(h, signature);
-    const Digest digest = h.finish();
+    const MemoKey key{entry.epoch, h.finish()};
     {
         const std::lock_guard lock(memo_mutex_);
-        if (const auto hit = entry.memo.find(digest); hit != entry.memo.end()) {
+        if (const auto hit = memo_young_.find(key); hit != memo_young_.end()) {
             ++verify_cache_hits_;
             return hit->second;
+        }
+        if (const auto hit = memo_old_.find(key); hit != memo_old_.end()) {
+            ++verify_cache_hits_;
+            // Renew the verdict in the young generation; the stale copy is
+            // dropped with the old one.
+            const bool verdict = hit->second;
+            remember(key, verdict);
+            return verdict;
         }
         ++verify_ops_;
     }
     const bool ok = entry.verifier->verify(message, signature);
     const std::lock_guard lock(memo_mutex_);
-    entry.memo.emplace(digest, ok);
+    remember(key, ok);
     return ok;
+}
+
+void KeyService::remember(const MemoKey& key, bool verdict) const {
+    if (memo_young_.size() >= kMemoWindow) {
+        // Young retires to old and the previous old generation is dropped;
+        // clear() keeps the bucket array for the next young generation.
+        memo_old_.swap(memo_young_);
+        memo_young_.clear();
+    }
+    memo_young_.emplace(key, verdict);
+    memo_high_water_ = std::max(memo_high_water_, memo_young_.size() + memo_old_.size());
 }
 
 std::uint64_t KeyService::verify_ops() const {
@@ -155,6 +174,11 @@ std::uint64_t KeyService::verify_ops() const {
 std::uint64_t KeyService::verify_cache_hits() const {
     const std::lock_guard lock(memo_mutex_);
     return verify_cache_hits_;
+}
+
+std::size_t KeyService::memo_high_water() const {
+    const std::lock_guard lock(memo_mutex_);
+    return memo_high_water_;
 }
 
 const Signer& KeyService::signer(const std::string& name) const {

@@ -53,9 +53,10 @@ public:
     /// Creates keys for `name`; idempotent.
     void register_principal(const std::string& name);
 
-    /// Regenerates `name`'s key material (epoch change / compromise) and
-    /// drops every memoized verify verdict for the principal — a signature
-    /// that verified under the old key must be re-checked under the new one.
+    /// Regenerates `name`'s key material (epoch change / compromise) under
+    /// a fresh key epoch, so no verdict memoized under the old key is ever
+    /// returned again — a signature that verified under the old key must be
+    /// re-checked under the new one. The stale verdicts age out of the memo.
     void rotate_principal(const std::string& name);
 
     /// Registers a pairwise HMAC session key shared by exactly {a, b},
@@ -75,11 +76,18 @@ public:
     /// signature) triple that already verified costs one hash instead of a
     /// public-key operation. This is what makes relaying a double-signed
     /// envelope O(1) RSA verifies per (principal, digest) across all hops.
+    /// The memo is bounded: a verdict reused within kMemoWindow later memo
+    /// insertions (misses, and hits renewed from the old generation) is a
+    /// hit; an older one is verified again.
     /// Safe to call from several threads at once (the TCP backend's node
     /// executors share one KeyService); registration and rotation are not.
     [[nodiscard]] bool verify_cached(const std::string& name,
                                      std::span<const std::uint8_t> message,
                                      std::span<const std::uint8_t> signature) const;
+
+    /// Entries per memo generation. The memo keeps two generations, so it
+    /// never holds more than 2 * kMemoWindow verdicts.
+    static constexpr std::size_t kMemoWindow = 4096;
 
     [[nodiscard]] Backend backend() const { return backend_; }
 
@@ -88,36 +96,54 @@ public:
     /// principal counts exactly once in one of the two.
     [[nodiscard]] std::uint64_t verify_ops() const;
     [[nodiscard]] std::uint64_t verify_cache_hits() const;
+    /// Most verdicts the memo has held at once (at most 2 * kMemoWindow).
+    [[nodiscard]] std::size_t memo_high_water() const;
 
 private:
-    /// SHA-256 of (u32 len ‖ message ‖ u32 len ‖ signature); the length
-    /// prefixes keep (m, s) and (m', s') with m‖s == m'‖s' apart.
-    using Digest = std::array<std::uint8_t, 32>;
-    struct DigestHash {
-        std::size_t operator()(const Digest& d) const noexcept {
+    /// The key epoch of the verifying entry plus the SHA-256 of
+    /// (u32 len ‖ message ‖ u32 len ‖ signature); the length prefixes keep
+    /// (m, s) and (m', s') with m‖s == m'‖s' apart.
+    struct MemoKey {
+        std::uint64_t epoch;
+        std::array<std::uint8_t, 32> digest;
+        bool operator==(const MemoKey&) const = default;
+    };
+    struct MemoKeyHash {
+        std::size_t operator()(const MemoKey& k) const noexcept {
             std::size_t h;
-            std::memcpy(&h, d.data(), sizeof h);
-            return h;
+            std::memcpy(&h, k.digest.data(), sizeof h);
+            return h ^ k.epoch;
         }
     };
+    using Memo = std::unordered_map<MemoKey, bool, MemoKeyHash>;
 
     struct Entry {
         std::unique_ptr<Signer> signer;
         std::unique_ptr<Verifier> verifier;
-        /// digest(message, signature) -> verdict under this entry's key.
-        /// Replacing the entry (rotation) drops it.
-        mutable std::unordered_map<Digest, bool, DigestHash> memo;
+        /// Unique per entry, so replacing the entry (rotation) orphans every
+        /// verdict memoized under the old key.
+        std::uint64_t epoch;
     };
 
+    void add_entry(const std::string& name, std::unique_ptr<Signer> signer,
+                   std::unique_ptr<Verifier> verifier);
     void make_entry(const std::string& name);
+    /// Records a verdict in the young generation. A full young generation
+    /// first becomes the old one, and the previous old one is dropped.
+    /// Caller holds memo_mutex_.
+    void remember(const MemoKey& key, bool verdict) const;
 
     Backend backend_;
     std::size_t rsa_bits_;
     Rng rng_;
     std::unordered_map<std::string, Entry> entries_;
-    /// Guards every Entry::memo and both counters; never held across a
-    /// real verify.
+    std::uint64_t next_epoch_{0};
+    /// Guards both generations and the counters; never held across a real
+    /// verify.
     mutable std::mutex memo_mutex_;
+    mutable Memo memo_young_;
+    mutable Memo memo_old_;
+    mutable std::size_t memo_high_water_{0};
     mutable std::uint64_t verify_ops_{0};
     mutable std::uint64_t verify_cache_hits_{0};
 };

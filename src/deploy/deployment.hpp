@@ -278,6 +278,8 @@ public:
     /// unauthenticated PBFT baseline); FS-NewTOP reports its KeyService.
     [[nodiscard]] virtual std::uint64_t crypto_verify_ops() const { return 0; }
     [[nodiscard]] virtual std::uint64_t crypto_verify_cache_hits() const { return 0; }
+    /// Most verdicts the verify memo has held at once (zero without one).
+    [[nodiscard]] virtual std::uint64_t crypto_memo_high_water() const { return 0; }
 
 private:
     /// Lazily built default clock (a SimClock over sim()).

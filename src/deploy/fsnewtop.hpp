@@ -59,6 +59,9 @@ public:
     [[nodiscard]] std::uint64_t crypto_verify_cache_hits() const override {
         return keys_.verify_cache_hits();
     }
+    [[nodiscard]] std::uint64_t crypto_memo_high_water() const override {
+        return keys_.memo_high_water();
+    }
 
     // Stack internals, for inspection and fault injection.
     [[nodiscard]] fsnewtop::FsInvocation& invocation(int member);

@@ -98,6 +98,9 @@ public:
     [[nodiscard]] std::uint64_t crypto_verify_cache_hits() const override {
         return inner_->crypto_verify_cache_hits();
     }
+    [[nodiscard]] std::uint64_t crypto_memo_high_water() const override {
+        return inner_->crypto_memo_high_water();
+    }
 
     /// The transport's node directory (tests assert the published ports).
     [[nodiscard]] const net::EndpointMap& endpoints() const { return transport_->endpoints(); }

@@ -133,6 +133,9 @@ Result<FsOutput> FsOutput::decode(std::span<const std::uint8_t> data) {
         out.out_index = r.u32();
         const auto dest_count = r.u32();
         if (dest_count > 4096) return Result<FsOutput>::err("implausible destination count");
+        // The smallest destination encodes in 17 bytes: a hostile count
+        // cannot size a reservation beyond what the frame could hold.
+        if (dest_count <= r.remaining() / 17) out.dests.reserve(dest_count);
         for (std::uint32_t i = 0; i < dest_count; ++i) {
             Destination d;
             d.is_fs = r.u8() != 0;

@@ -49,7 +49,7 @@ void SimNetwork::reset_stats() {
     bytes_sent_ = 0;
     payload_bytes_copied_ = 0;
     payload_bodies_encoded_ = 0;
-    seen_bodies_.clear();
+    count_token_ = Payload::fresh_count_token();
 }
 
 bool SimNetwork::is_blocked(NodeId a, NodeId b) const {
@@ -102,7 +102,7 @@ void SimNetwork::send(Endpoint src, Endpoint dst, Payload payload) {
     // body buffer counts only the first time it is seen (the fan-out loop
     // of a multicast sends the same shared buffer consecutively).
     payload_bytes_copied_ += payload.prefix().size();
-    if (payload.body_seq() != 0 && seen_bodies_.insert(payload.body_seq()).second) {
+    if (payload.count_body(count_token_)) {
         ++payload_bodies_encoded_;
         payload_bytes_copied_ += payload.body().size();
     }

@@ -160,7 +160,7 @@ private:
     std::uint64_t bytes_sent_{0};
     std::uint64_t payload_bytes_copied_{0};
     std::uint64_t payload_bodies_encoded_{0};
-    std::unordered_set<std::uint64_t> seen_bodies_;
+    std::uint64_t count_token_{Payload::fresh_count_token()};
 
     // Reactor.
     std::thread reactor_;

@@ -332,6 +332,8 @@ ScenarioReport finish(RunState& st, deploy::Deployment& dep, obs::Obs* obs) {
             .set(static_cast<std::int64_t>(dep.sim().queue_footprint()));
         registry.gauge("sim.max_queue_footprint")
             .set(static_cast<std::int64_t>(dep.sim().max_queue_footprint()));
+        registry.gauge("crypto.memo_high_water")
+            .set(static_cast<std::int64_t>(dep.crypto_memo_high_water()));
         report.metrics_json = obs->metrics_json(st.s.name);
         report.flight_dump = obs->flight().dump();
         report.obs_counters = registry.counter_snapshot();

@@ -1,11 +1,13 @@
 // Unit tests for the crypto substrate: digests against published test
 // vectors, the dispatched SHA-256 kernel against the portable one, bignum
 // arithmetic properties, RSA round-trips and tamper rejection, HMAC vectors,
-// the verify memo's counters (also under concurrent callers), and
+// the verify memo's counters and bound (also under concurrent callers), and
 // signed-envelope chains.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -648,6 +650,98 @@ TEST(VerifyCached, ConcurrentCallersCountEveryCallOnce) {
     // At most one miss per (principal, message) per racing thread.
     EXPECT_GE(keys.verify_ops(), static_cast<std::uint64_t>(kMessages));
     EXPECT_LE(keys.verify_ops(), static_cast<std::uint64_t>(2 * kMessages * kThreads));
+}
+
+/// `count` distinct messages "<tag><i>" and their signatures by `name`.
+std::pair<std::vector<Bytes>, std::vector<Bytes>> signed_messages(const KeyService& keys,
+                                                                  const std::string& name,
+                                                                  const std::string& tag,
+                                                                  std::size_t count) {
+    std::vector<Bytes> messages, sigs;
+    for (std::size_t i = 0; i < count; ++i) {
+        messages.push_back(bytes_of(tag + std::to_string(i)));
+        sigs.push_back(keys.signer(name).sign(messages.back()));
+    }
+    return {std::move(messages), std::move(sigs)};
+}
+
+TEST(VerifyCached, EvictsVerdictsOlderThanTwoGenerations) {
+    KeyService keys(KeyService::Backend::kHmac, 512, 24);
+    keys.register_principal("p");
+    constexpr std::size_t kWindow = KeyService::kMemoWindow;
+    const auto [messages, sigs] = signed_messages(keys, "p", "m", 2 * kWindow + 1);
+    for (std::size_t i = 0; i < messages.size(); ++i) {
+        ASSERT_TRUE(keys.verify_cached("p", messages[i], sigs[i]));
+    }
+    EXPECT_EQ(keys.verify_ops(), messages.size());
+    EXPECT_EQ(keys.memo_high_water(), 2 * kWindow);
+
+    // The first verdict fell out of the window: a real verify, still true.
+    EXPECT_TRUE(keys.verify_cached("p", messages.front(), sigs.front()));
+    EXPECT_EQ(keys.verify_ops(), messages.size() + 1);
+    EXPECT_EQ(keys.verify_cache_hits(), 0u);
+    // Eviction never turns a tampered copy into a memoized true.
+    Bytes tampered = messages.front();
+    tampered[0] ^= 0x01;
+    EXPECT_FALSE(keys.verify_cached("p", tampered, sigs.front()));
+    EXPECT_EQ(keys.verify_ops(), messages.size() + 2);
+    // The newest verdict is still memoized.
+    EXPECT_TRUE(keys.verify_cached("p", messages.back(), sigs.back()));
+    EXPECT_EQ(keys.verify_cache_hits(), 1u);
+    EXPECT_LE(keys.memo_high_water(), 2 * kWindow);
+}
+
+TEST(VerifyCached, ReuseWithinTheWindowAlwaysHits) {
+    KeyService keys(KeyService::Backend::kHmac, 512, 25);
+    keys.register_principal("p");
+    constexpr std::size_t kWindow = KeyService::kMemoWindow;
+    constexpr std::size_t kGap = 1000;
+    const Bytes hot = B("hot");
+    const Bytes hot_sig = keys.signer("p").sign(hot);
+    ASSERT_TRUE(keys.verify_cached("p", hot, hot_sig));
+    const auto [messages, sigs] = signed_messages(keys, "p", "m", 10 * kWindow);
+    for (std::size_t i = 0; i < messages.size(); ++i) {
+        ASSERT_TRUE(keys.verify_cached("p", messages[i], sigs[i]));
+        if ((i + 1) % kGap != 0) continue;
+        const auto hits = keys.verify_cache_hits();
+        EXPECT_TRUE(keys.verify_cached("p", hot, hot_sig));
+        EXPECT_EQ(keys.verify_cache_hits(), hits + 1) << "re-verify after fresh message " << i;
+    }
+    EXPECT_EQ(keys.verify_ops(), 1 + messages.size());
+    EXPECT_EQ(keys.verify_cache_hits(), messages.size() / kGap);
+}
+
+TEST(VerifyCached, ConcurrentCallersPastTheBound) {
+    KeyService keys(KeyService::Backend::kHmac, 512, 26);
+    keys.register_principal("a");
+    keys.register_principal("b");
+    constexpr int kThreads = 4;
+    constexpr std::size_t kMessages = 3 * KeyService::kMemoWindow;
+    constexpr int kCalls = static_cast<int>(2 * kMessages);
+    std::vector<Bytes> messages, sigs;
+    for (std::size_t i = 0; i < kMessages; ++i) {
+        messages.push_back(bytes_of("m" + std::to_string(i)));
+        sigs.push_back(keys.signer(i % 2 == 0 ? "a" : "b").sign(messages.back()));
+    }
+    std::vector<int> wrong(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            Rng rng(static_cast<std::uint64_t>(200 + t));
+            for (int c = 0; c < kCalls; ++c) {
+                const auto i = static_cast<std::size_t>(rng.uniform(kMessages));
+                // Every fourth call asks the wrong principal: a false verdict.
+                const bool honest = rng.uniform(4) != 0;
+                const std::string name = ((i % 2 == 0) == honest) ? "a" : "b";
+                if (keys.verify_cached(name, messages[i], sigs[i]) != honest) ++wrong[t];
+            }
+        });
+    }
+    for (auto& th : threads) th.join();
+    for (int t = 0; t < kThreads; ++t) EXPECT_EQ(wrong[t], 0) << "thread " << t;
+    EXPECT_EQ(keys.verify_ops() + keys.verify_cache_hits(),
+              static_cast<std::uint64_t>(kThreads) * kCalls);
+    EXPECT_LE(keys.memo_high_water(), 2 * KeyService::kMemoWindow);
 }
 
 TEST(SignedEnvelope, DoubleSignedValidation) {

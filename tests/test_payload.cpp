@@ -106,6 +106,27 @@ TEST(ZeroCopyPlane, MulticastSharesOneBufferAcrossReceivers) {
     EXPECT_EQ(net.bytes_sent(), static_cast<std::uint64_t>(n) * 257u);
 }
 
+TEST(ZeroCopyPlane, BodyCountsOncePerStatsEpoch) {
+    sim::Simulation sim;
+    net::SimNetwork net(sim, Rng(7));
+    net.bind(ep(1), [](const net::Message&) {});
+    const Payload body{Bytes(64, 0x11)};
+    for (int epoch = 0; epoch < 2; ++epoch) {
+        net.send(ep(0), ep(1), body);
+        net.send(ep(0), ep(1), Payload::prefixed(Bytes{1}, body));
+        EXPECT_EQ(net.payload_bodies_encoded(), 1u) << "epoch " << epoch;
+        EXPECT_EQ(net.payload_bytes_copied(), 65u) << "epoch " << epoch;
+        net.reset_stats();
+    }
+    // A fresh body (copy-on-write detaches one) is a new encode.
+    Payload detached = body;
+    detached.mutable_bytes()[0] = 0x22;
+    net.send(ep(0), ep(1), body);
+    net.send(ep(0), ep(1), detached);
+    EXPECT_EQ(net.payload_bodies_encoded(), 2u);
+    sim.run();
+}
+
 TEST(ZeroCopyPlane, OrbFanoutIsOneEncodePerMulticast) {
     class Sink final : public orb::Servant {
     public:

@@ -1,7 +1,7 @@
 // Checkpoint/recovery subsystem tests: the replicated KV store, the three
 // new wire codecs it rides on (newtop::JoinGrant, baseline::RecoveryState,
-// the KV snapshot itself), PBFT log boundedness under sustained load, and
-// the scenario-level crash -> recover -> rejoin arc judged by the recovery
+// the KV snapshot itself), PBFT log and FS-NewTOP verify-memo boundedness
+// under sustained load, and the scenario-level crash -> recover -> rejoin arc judged by the recovery
 // invariant checkers.
 //
 // The codecs are fuzzed the way test_tcp_frame.cpp fuzzes the TCP frame
@@ -21,6 +21,7 @@
 #include "common/batch.hpp"
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
+#include "crypto/keys.hpp"
 #include "deploy/pbft.hpp"
 #include "explore/explore.hpp"
 #include "explore/repro.hpp"
@@ -431,6 +432,53 @@ TEST(PbftLogBoundedness, TenThousandRequestsKeepTheSlotMapUnderTwoWindows) {
     for (baseline::ReplicaId r = 1; r < 4; ++r) {
         EXPECT_TRUE(d.replica(r).app().state_equals(app0)) << "replica " << int(r);
     }
+}
+
+// ---------------------------------------------------------------------------
+// FS-NewTOP verify-memo boundedness under sustained load
+
+std::int64_t gauge_of(const std::string& metrics_json, const std::string& name) {
+    const std::string key = "\"" + name + "\":";
+    const auto pos = metrics_json.find(key);
+    if (pos == std::string::npos) return -1;
+    return std::stoll(metrics_json.substr(pos + key.size()));
+}
+
+TEST(FsNewTopMemoBoundedness, ThreeTimesTheRunKeepsTheSameHighWater) {
+    // The verify memo used to keep one verdict per verified message for the
+    // whole run. Bounded by a window, its high-water mark must not depend
+    // on the run length once the run has filled both generations.
+    const auto run = [](Duration length) {
+        scenario::Scenario s;
+        s.name = "memo-soak";
+        s.system = scenario::SystemKind::kFsNewTop;
+        s.group_size = 4;
+        s.seed = 5;
+        s.workload.msgs_per_member = 0;
+        s.obs.enabled = true;  // exports the crypto.memo_high_water gauge
+        scenario::LoadSpec load;
+        load.rate = 200.0;
+        load.duration = length;
+        s.timeline.push_back(scenario::ScenarioEvent::load(10 * kMillisecond, load));
+        return scenario::run_scenario(s);
+    };
+    const auto short_run = run(1 * kSecond);
+    const auto long_run = run(3 * kSecond);
+    ASSERT_TRUE(short_run.all_invariants_passed());
+    ASSERT_TRUE(long_run.all_invariants_passed());
+
+    const auto calls = [](const scenario::ScenarioReport& r) {
+        return static_cast<double>(r.metrics.verify_ops + r.metrics.verify_cache_hits);
+    };
+    // The short run already verifies more than both generations hold.
+    EXPECT_GT(short_run.metrics.verify_ops, 2 * crypto::KeyService::kMemoWindow);
+    EXPECT_GT(calls(long_run) / calls(short_run), 2.5);
+    EXPECT_LT(calls(long_run) / calls(short_run), 3.5);
+
+    const auto high_water = gauge_of(short_run.metrics_json, "crypto.memo_high_water");
+    EXPECT_GT(high_water, 0);
+    EXPECT_LE(high_water, static_cast<std::int64_t>(2 * crypto::KeyService::kMemoWindow));
+    EXPECT_EQ(gauge_of(long_run.metrics_json, "crypto.memo_high_water"), high_water);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,12 +4,16 @@
 // read loop, so it is fuzzed the way an adversarial or corrupt peer would
 // exercise it: garbage streams, truncation at every offset, and hostile
 // length fields. Finally, the published ephemeral-port directory of real
-// TcpDeployments is checked — concurrent deployments must never collide.
+// TcpDeployments is checked — concurrent deployments must never collide —
+// and so are TcpTransport's copy counters over real sockets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -17,6 +21,7 @@
 #include "deploy/tcp.hpp"
 #include "net/endpoint_map.hpp"
 #include "net/frame.hpp"
+#include "net/tcp_transport.hpp"
 
 namespace failsig::net {
 namespace {
@@ -231,6 +236,48 @@ TEST(EndpointMap, ConcurrentTcpDeploymentsPublishDisjointEphemeralPorts) {
                 << "port " << addr.port << " published twice";
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Copy counters on real sockets
+// ---------------------------------------------------------------------------
+
+TEST(TcpTransport, FanOutOfOneBodyCountsOneEncodePerStatsEpoch) {
+    std::atomic<int> delivered{0};
+    TcpTransport::Hooks hooks;
+    hooks.post = [](NodeId, std::function<void()> task) { task(); };
+    TcpTransport transport(std::move(hooks), Rng(3));
+    for (std::uint32_t node = 0; node <= 3; ++node) {
+        transport.bind(Endpoint{NodeId{node}, PortId{0}}, [&](const Message&) { ++delivered; });
+    }
+    transport.start();
+    const auto wait_for = [&](int count) {
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (delivered.load() < count && std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return delivered.load();
+    };
+
+    const Payload body{Bytes(100, 0x3c)};
+    const Endpoint src{NodeId{0}, PortId{0}};
+    for (std::uint32_t node = 1; node <= 3; ++node) {
+        transport.send(src, Endpoint{NodeId{node}, PortId{0}},
+                       Payload::prefixed(Bytes{static_cast<std::uint8_t>(node)}, body));
+    }
+    EXPECT_EQ(wait_for(3), 3);
+    EXPECT_EQ(transport.messages_sent(), 3u);
+    EXPECT_EQ(transport.payload_bodies_encoded(), 1u);
+    // Sockets flatten every frame: copied bytes equal logical bytes.
+    EXPECT_EQ(transport.payload_bytes_copied(), 3u * 101u);
+
+    // After a reset the same body is a first send again, once.
+    transport.reset_stats();
+    transport.send(src, Endpoint{NodeId{1}, PortId{0}}, body);
+    transport.send(src, Endpoint{NodeId{2}, PortId{0}}, body);
+    EXPECT_EQ(wait_for(5), 5);
+    EXPECT_EQ(transport.payload_bodies_encoded(), 1u);
+    transport.close();
 }
 
 }  // namespace
