@@ -23,20 +23,18 @@ int main(int argc, char** argv) {
                  "returns diminish because the single-threaded GC becomes the bottleneck");
 
     const std::vector<int> pools = {1, 2, 4, 10, 20};
-    std::vector<ExperimentConfig> configs;
+    std::vector<scenario::Scenario> cells;
     for (const int n : groups) {
         for (const int p : pools) {
-            ExperimentConfig cfg;
-            cfg.group_size = n;
-            cfg.msgs_per_member = cli.msgs_per_member > 0 ? cli.msgs_per_member : 30;
-            if (cli.payload_size > 0) cfg.payload_size = cli.payload_size;
-            if (cli.seed_set) cfg.seed = cli.seed;
-            cfg.thread_pool = p;
-            cfg.system = SystemKind::kNewTop;
-            configs.push_back(cfg);
+            scenario::Scenario s = paper_scenario(SystemKind::kNewTop, n);
+            s.workload.msgs_per_member = cli.msgs_per_member > 0 ? cli.msgs_per_member : 30;
+            if (cli.payload_size > 0) s.workload.payload_size = cli.payload_size;
+            if (cli.seed_set) s.seed = cli.seed;
+            s.threads_per_node = p;
+            cells.push_back(s);
         }
     }
-    const auto reports = run_experiment_reports(configs, cli.jobs);
+    const auto reports = run_cells(cells, cli.jobs);
 
     std::printf("%-8s", "members");
     for (const int p : pools) std::printf(" pool=%-10d", p);
@@ -44,10 +42,9 @@ int main(int argc, char** argv) {
     for (std::size_t g = 0; g < groups.size(); ++g) {
         std::printf("%-8d", groups[g]);
         for (std::size_t p = 0; p < pools.size(); ++p) {
-            const auto r = to_result(reports[g * pools.size() + p]);
-            std::printf(" %-15.1f", r.throughput_msg_s);
+            std::printf(" %-15.1f", reports[g * pools.size() + p].metrics.throughput_msg_s);
         }
         std::printf("\n");
     }
-    return maybe_write_report(cli, reports) ? 0 : 1;
+    return finish(cli, reports);
 }

@@ -25,30 +25,28 @@ int main(int argc, char** argv) {
     const std::vector<newtop::ServiceType> services = {
         newtop::ServiceType::kSymmetricTotalOrder,
         newtop::ServiceType::kAsymmetricTotalOrder};
-    std::vector<ExperimentConfig> configs;
+    std::vector<scenario::Scenario> cells;
     for (const int n : groups) {
         for (const auto svc : services) {
-            ExperimentConfig cfg;
-            cfg.group_size = n;
-            cfg.msgs_per_member = msgs;
-            if (cli.payload_size > 0) cfg.payload_size = cli.payload_size;
-            if (cli.seed_set) cfg.seed = cli.seed;
-            cfg.service = svc;
-            cfg.system = SystemKind::kNewTop;
-            configs.push_back(cfg);
-            cfg.system = SystemKind::kFsNewTop;
-            configs.push_back(cfg);
+            for (const auto system : {SystemKind::kNewTop, SystemKind::kFsNewTop}) {
+                scenario::Scenario s = paper_scenario(system, n);
+                s.workload.msgs_per_member = msgs;
+                if (cli.payload_size > 0) s.workload.payload_size = cli.payload_size;
+                if (cli.seed_set) s.seed = cli.seed;
+                s.workload.service = svc;
+                cells.push_back(s);
+            }
         }
     }
-    const auto reports = run_experiment_reports(configs, cli.jobs);
+    const auto reports = run_cells(cells, cli.jobs);
 
     std::printf("%-8s %-12s %-14s %-14s %-16s %-16s\n", "members", "protocol", "NewTOP(ms)",
                 "FS-NT(ms)", "NewTOP msgs", "FS-NT msgs");
     std::size_t next = 0;
     for (const int n : groups) {
         for (const auto svc : services) {
-            const auto newtop = to_result(reports[next++]);
-            const auto fsnewtop = to_result(reports[next++]);
+            const auto& newtop = reports[next++].metrics;
+            const auto& fsnewtop = reports[next++].metrics;
 
             const double per_multicast_newtop =
                 static_cast<double>(newtop.network_messages) / (static_cast<double>(msgs) * n);
@@ -62,5 +60,5 @@ int main(int argc, char** argv) {
         }
     }
     std::printf("(msgs columns: network messages per application multicast)\n");
-    return maybe_write_report(cli, reports) ? 0 : 1;
+    return finish(cli, reports);
 }

@@ -21,26 +21,24 @@ int main(int argc, char** argv) {
     print_header("FIG6: symmetric total order latency vs group size (3-byte messages)",
                  "constant FS gap for small n; ~50% overhead at n=9-10; both rise with n");
 
-    std::vector<ExperimentConfig> configs;
+    std::vector<scenario::Scenario> cells;
     for (const int n : groups) {
-        ExperimentConfig cfg;
-        cfg.group_size = n;
-        cfg.msgs_per_member = cli.msgs_per_member > 0 ? cli.msgs_per_member : 40;
-        cfg.payload_size = cli.payload_size > 0 ? cli.payload_size : 3;
-        if (cli.seed_set) cfg.seed = cli.seed;
-        cfg.system = SystemKind::kNewTop;
-        configs.push_back(cfg);
-        cfg.system = SystemKind::kFsNewTop;
-        configs.push_back(cfg);
+        for (const auto system : {SystemKind::kNewTop, SystemKind::kFsNewTop}) {
+            scenario::Scenario s = paper_scenario(system, n);
+            s.workload.msgs_per_member = cli.msgs_per_member > 0 ? cli.msgs_per_member : 40;
+            if (cli.payload_size > 0) s.workload.payload_size = cli.payload_size;
+            if (cli.seed_set) s.seed = cli.seed;
+            cells.push_back(s);
+        }
     }
-    const auto reports = run_experiment_reports(configs, cli.jobs);
+    const auto reports = run_cells(cells, cli.jobs);
 
     std::printf("%-8s %-16s %-16s %-12s %-12s\n", "members", "NewTOP(ms)", "FS-NewTOP(ms)",
                 "gap(ms)", "overhead");
     for (std::size_t g = 0; g < groups.size(); ++g) {
         const int n = groups[g];
-        const auto newtop = to_result(reports[2 * g]);
-        const auto fsnewtop = to_result(reports[2 * g + 1]);
+        const auto& newtop = reports[2 * g].metrics;
+        const auto& fsnewtop = reports[2 * g + 1].metrics;
 
         const double gap = fsnewtop.mean_latency_ms - newtop.mean_latency_ms;
         const double overhead = newtop.mean_latency_ms > 0
@@ -50,5 +48,5 @@ int main(int argc, char** argv) {
                     fsnewtop.mean_latency_ms, gap, overhead,
                     fsnewtop.fail_signals ? "  [UNEXPECTED FAIL-SIGNALS]" : "");
     }
-    return maybe_write_report(cli, reports) ? 0 : 1;
+    return finish(cli, reports);
 }

@@ -28,22 +28,20 @@ int main(int argc, char** argv) {
                  "both rise from n=2, peak near 10, drop beyond; FS overhead 20-30% small n, "
                  "~100% for n>10");
 
-    std::vector<ExperimentConfig> configs;
+    std::vector<scenario::Scenario> cells;
     for (const std::size_t b : batches) {
         for (const int n : groups) {
-            ExperimentConfig cfg;
-            cfg.group_size = n;
-            cfg.msgs_per_member = cli.msgs_per_member > 0 ? cli.msgs_per_member : 40;
-            cfg.payload_size = cli.payload_size > 0 ? cli.payload_size : 3;
-            if (cli.seed_set) cfg.seed = cli.seed;
-            cfg.batch.max_requests = b;
-            cfg.system = SystemKind::kNewTop;
-            configs.push_back(cfg);
-            cfg.system = SystemKind::kFsNewTop;
-            configs.push_back(cfg);
+            for (const auto system : {SystemKind::kNewTop, SystemKind::kFsNewTop}) {
+                scenario::Scenario s = paper_scenario(system, n);
+                s.workload.msgs_per_member = cli.msgs_per_member > 0 ? cli.msgs_per_member : 40;
+                if (cli.payload_size > 0) s.workload.payload_size = cli.payload_size;
+                if (cli.seed_set) s.seed = cli.seed;
+                s.batch.max_requests = b;
+                cells.push_back(s);
+            }
         }
     }
-    const auto reports = run_experiment_reports(configs, cli.jobs);
+    const auto reports = run_cells(cells, cli.jobs);
 
     for (std::size_t bi = 0; bi < batches.size(); ++bi) {
         if (batches.size() > 1) {
@@ -55,8 +53,8 @@ int main(int argc, char** argv) {
         for (std::size_t g = 0; g < groups.size(); ++g) {
             const int n = groups[g];
             const std::size_t row = 2 * (bi * groups.size() + g);
-            const auto newtop = to_result(reports[row]);
-            const auto fsnewtop = to_result(reports[row + 1]);
+            const auto& newtop = reports[row].metrics;
+            const auto& fsnewtop = reports[row + 1].metrics;
 
             const double overhead =
                 fsnewtop.throughput_msg_s > 0
@@ -68,5 +66,5 @@ int main(int argc, char** argv) {
                         fsnewtop.fail_signals ? "  [UNEXPECTED FAIL-SIGNALS]" : "");
         }
     }
-    return maybe_write_report(cli, reports) ? 0 : 1;
+    return finish(cli, reports);
 }

@@ -4,6 +4,8 @@
 // Expected shape (paper §4): both systems' throughput decreases with
 // increasing message size; FS-NewTOP's throughput deficit is roughly
 // constant in absolute terms (~30 msg/s in the paper) across sizes.
+#include <algorithm>
+
 #include "harness.hpp"
 
 int main(int argc, char** argv) {
@@ -20,34 +22,33 @@ int main(int argc, char** argv) {
     print_header("FIG8: throughput vs message size (10 members)",
                  "both fall with size; FS absolute gap roughly constant across sizes");
 
-    std::vector<ExperimentConfig> configs;
+    std::vector<scenario::Scenario> cells;
     for (int kb = 0; kb <= 10; ++kb) {
-        ExperimentConfig cfg;
-        cfg.group_size = group;
-        cfg.msgs_per_member = cli.msgs_per_member > 0 ? cli.msgs_per_member : 30;
-        if (cli.seed_set) cfg.seed = cli.seed;
-        // Run at saturation so throughput measures capacity (as the paper's
-        // fixed-group, size-swept runs do), not the injection rate.
-        cfg.send_interval = 40 * kMillisecond;
-        cfg.payload_size = static_cast<std::size_t>(kb) * 1024;
-        if (cfg.payload_size < 8) cfg.payload_size = 8;  // room for the latency tag
-        cfg.system = SystemKind::kNewTop;
-        configs.push_back(cfg);
-        cfg.system = SystemKind::kFsNewTop;
-        configs.push_back(cfg);
+        for (const auto system : {SystemKind::kNewTop, SystemKind::kFsNewTop}) {
+            scenario::Scenario s = paper_scenario(system, group);
+            s.workload.msgs_per_member = cli.msgs_per_member > 0 ? cli.msgs_per_member : 30;
+            if (cli.seed_set) s.seed = cli.seed;
+            // Run at saturation so throughput measures capacity (as the
+            // paper's fixed-group, size-swept runs do), not the injection
+            // rate.
+            s.workload.send_interval = 40 * kMillisecond;
+            // At least 8 bytes: room for the latency tag.
+            s.workload.payload_size = std::max<std::size_t>(8, static_cast<std::size_t>(kb) * 1024);
+            cells.push_back(s);
+        }
     }
-    const auto reports = run_experiment_reports(configs, cli.jobs);
+    const auto reports = run_cells(cells, cli.jobs);
 
     std::printf("%-10s %-18s %-18s %-14s\n", "size", "NewTOP(msg/s)", "FS-NewTOP(msg/s)",
                 "gap(msg/s)");
     for (int kb = 0; kb <= 10; ++kb) {
-        const auto newtop = to_result(reports[static_cast<std::size_t>(2 * kb)]);
-        const auto fsnewtop = to_result(reports[static_cast<std::size_t>(2 * kb + 1)]);
+        const auto& newtop = reports[static_cast<std::size_t>(2 * kb)].metrics;
+        const auto& fsnewtop = reports[static_cast<std::size_t>(2 * kb + 1)].metrics;
 
         std::printf("%2dk        %-18.1f %-18.1f %-14.1f%s\n", kb, newtop.throughput_msg_s,
                     fsnewtop.throughput_msg_s,
                     newtop.throughput_msg_s - fsnewtop.throughput_msg_s,
                     fsnewtop.fail_signals ? "  [UNEXPECTED FAIL-SIGNALS]" : "");
     }
-    return maybe_write_report(cli, reports) ? 0 : 1;
+    return finish(cli, reports);
 }

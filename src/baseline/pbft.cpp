@@ -549,8 +549,8 @@ void PbftReplica::on_state_reply(const PbftMessage& msg, Out& out) {
     if (st.snapshot_watermark != 0 && !restored.restore(st.app_snapshot).has_value()) {
         return;  // corrupt snapshot: wait for another peer's reply
     }
-    // Tell the delivery sink where the replayed stream restarts BEFORE any
-    // replayed delivery reaches it: it resets its re-sequencer to S+1.
+    // Tell the Invocation layer where the replayed stream restarts BEFORE
+    // any replayed delivery reaches it: it resets its re-sequencer to S+1.
     ByteWriter w;
     w.u64(st.snapshot_watermark);
     out.emplace_back(cfg_.delivery, "recovered", w.take());

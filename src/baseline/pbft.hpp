@@ -22,6 +22,7 @@
 #include <utility>
 
 #include "app/kv_store.hpp"
+#include "fs/servant.hpp"
 #include "fs/service.hpp"
 #include "obs/obs.hpp"
 #include "orb/request.hpp"
@@ -200,5 +201,8 @@ private:
     std::uint64_t state_transfers_served_{0};
     std::uint64_t recoveries_completed_{0};
 };
+
+/// A replica as an ORB object: serialized inputs, per-input CPU cost.
+using PbftServant = fs::ServiceServant<PbftReplica>;
 
 }  // namespace failsig::baseline

@@ -85,7 +85,7 @@ public:
 
 /// The accumulator: owns the pending window, flush triggers and counters.
 /// Single-threaded by design — every user lives on a deterministic
-/// simulation event loop (Invocation layers, PBFT deployment submit path).
+/// simulation event loop (the Invocation layers of all three stacks).
 class Batcher {
 public:
     /// Receives each flushed unit: a batch frame (enabled) or the original

@@ -9,16 +9,10 @@ std::string gc_name(int member) { return "GC:" + std::to_string(member); }
 }  // namespace
 
 FsNewTopDeployment::FsNewTopDeployment(const DeploymentSpec& spec)
-    : own_net_(spec.env.external() ? nullptr
-                                   : std::make_unique<net::SimNetwork>(sim_, Rng(spec.seed),
-                                                                       net::AsyncLinkParams{})),
-      net_(net::transport_or(spec.env, own_net_.get())),
-      faults_(net::faults_or(spec.env, own_net_.get())),
-      domain_(net::sim_of_or(spec.env, sim_), net_, sim::CostModel{}, spec.threads_per_node),
+    : StackDeployment(spec),
       keys_(crypto::KeyService::Backend::kHmac, 512, spec.seed ^ 0x6b657973u),
-      host_(fs::FsRuntime{net_, domain_, keys_, directory_, spec.obs}),
-      placement_(spec.placement),
-      service_(spec.service) {
+      host_(fs::FsRuntime{network(), domain(), keys_, directory_, spec.obs}),
+      placement_(spec.placement) {
     const int n = spec.group_size;
     ensure(n >= 1, "FsNewTopDeployment: group_size must be >= 1");
 
@@ -48,11 +42,10 @@ FsNewTopDeployment::FsNewTopDeployment(const DeploymentSpec& spec)
         m.app_node = app_node(i);
         m.leader_node = leader_node(i);
         m.follower_node = follower_node(i);
-        orb::Orb& app_orb = domain_.create_orb(app_node(i));
         m.invocation = std::make_unique<fsnewtop::FsInvocation>(
-            host_.runtime(), app_orb, "inv:" + std::to_string(i), gc_name(i));
-        m.invocation->set_obs(spec.obs, i);
-        m.invocation->configure_batching(app_orb.simulation(), spec.batch);
+            host_.runtime(), domain().create_orb(app_node(i)), "inv:" + std::to_string(i),
+            gc_name(i), spec.batch, spec.obs, i);
+        add_member(*m.invocation);
     }
 
     // Pass 2: the FS-wrapped GC pairs.
@@ -66,7 +59,7 @@ FsNewTopDeployment::FsNewTopDeployment(const DeploymentSpec& spec)
             cfg.fs_members[gc_name(j)] = static_cast<newtop::MemberId>(j);
         }
         cfg.delivery = fs::Destination::plain(invocation(i).delivery_ref());
-        cfg.protocol_op_cost = domain_.costs().gc_protocol_op;
+        cfg.protocol_op_cost = domain().costs().gc_protocol_op;
         cfg.obs = spec.obs;
         cfg.obs_member = i;
         cfg.checkpoint_interval = spec.checkpoint_interval;
@@ -85,8 +78,6 @@ FsNewTopDeployment::FsNewTopDeployment(const DeploymentSpec& spec)
             },
             spec.fs_config);
     }
-
-    if (spec.obs != nullptr) spec.obs->bind(&sim_);
 }
 
 fsnewtop::FsInvocation& FsNewTopDeployment::invocation(int i) { return *member(i).invocation; }
@@ -120,48 +111,22 @@ std::vector<NodeId> FsNewTopDeployment::nodes_of(int i) const {
     return {app_node_of(i)};
 }
 
-BatchStats FsNewTopDeployment::batch_stats() const {
-    BatchStats stats;
-    for (const auto& m : members_) stats += m.invocation->batch_stats();
-    return stats;
-}
-
-void FsNewTopDeployment::attach(Observers observers) {
-    observers_ = std::move(observers);
+void FsNewTopDeployment::attach(Observers wanted) {
+    StackDeployment::attach(std::move(wanted));
+    if (!observers().fail_signal) return;
     for (int i = 0; i < group_size(); ++i) {
-        if (observers_.delivered) {
-            invocation(i).on_delivery([this, i](const newtop::Delivery& d) {
-                observers_.delivered(i, d.payload);
-            });
-        }
-        if (observers_.view_installed) {
-            invocation(i).on_view([this, i](const newtop::GroupView& v) {
-                observers_.view_installed(i, v);
-            });
-        }
-        if (observers_.middleware_failure) {
-            invocation(i).on_middleware_failure([this, i](const std::string& fs_name) {
-                observers_.middleware_failure(i, fs_name);
-            });
-        }
-        if (observers_.fail_signal) {
-            const auto observer = [this, i](const std::string& name, const std::string& reason) {
-                observers_.fail_signal(i, name, reason);
-            };
-            leader_fso(i).set_fail_signal_observer(observer);
-            follower_fso(i).set_fail_signal_observer(observer);
-        }
+        const auto observer = [this, i](const std::string& name, const std::string& reason) {
+            observers().fail_signal(i, name, reason);
+        };
+        leader_fso(i).set_fail_signal_observer(observer);
+        follower_fso(i).set_fail_signal_observer(observer);
     }
 }
 
-void FsNewTopDeployment::submit(int i, Bytes payload) {
-    invocation(i).multicast(service_, std::move(payload));
-}
-
-void FsNewTopDeployment::crash(int i) { faults_.block(leader_node_of(i), follower_node_of(i)); }
+void FsNewTopDeployment::crash(int i) { faults().block(leader_node_of(i), follower_node_of(i)); }
 
 void FsNewTopDeployment::recover_links(int i) {
-    faults_.unblock(leader_node_of(i), follower_node_of(i));
+    faults().unblock(leader_node_of(i), follower_node_of(i));
 }
 
 std::vector<RecoveryStep> FsNewTopDeployment::recover_steps(int i) {
@@ -189,7 +154,7 @@ std::vector<RecoveryStep> FsNewTopDeployment::recover_steps(int i) {
                          follower_fso(i).reset_for_recovery(*base);
                      }});
     steps.push_back({app_node_of(i), [this, i] {
-                         invocation(i).prepare_rejoin();
+                         invocation(i).resume_deliveries_at(1);
                          invocation(i).send_control("__rejoin", Bytes{});
                      }});
     return steps;

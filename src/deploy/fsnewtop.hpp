@@ -14,25 +14,21 @@
 
 #include <memory>
 
-#include "deploy/deployment.hpp"
+#include "deploy/stack.hpp"
 #include "fs/process.hpp"
 #include "fsnewtop/fs_invocation.hpp"
 #include "newtop/gc_service.hpp"
 
 namespace failsig::deploy {
 
-class FsNewTopDeployment final : public Deployment {
+class FsNewTopDeployment final : public StackDeployment {
 public:
     explicit FsNewTopDeployment(const DeploymentSpec& spec);
 
-    [[nodiscard]] sim::Simulation& sim() override { return sim_; }
-    [[nodiscard]] net::Transport& network() override { return net_; }
-    [[nodiscard]] net::FaultInjector& faults() override { return faults_; }
-    [[nodiscard]] int group_size() const override { return static_cast<int>(members_.size()); }
     [[nodiscard]] std::vector<NodeId> nodes_of(int member) const override;
 
+    /// Adds the fail-signal observers to the shared Invocation-layer ones.
     void attach(Observers observers) override;
-    void submit(int member, Bytes payload) override;
 
     /// The FS-level crash: sever the pair's synchronous link, so the pair
     /// can no longer self-check and announces its own failure — no timeout
@@ -54,7 +50,6 @@ public:
     [[nodiscard]] bool supports_host_faults() const override {
         return placement_ == fsnewtop::Placement::kFull;
     }
-    [[nodiscard]] BatchStats batch_stats() const override;
     [[nodiscard]] std::uint64_t crypto_verify_ops() const override { return keys_.verify_ops(); }
     [[nodiscard]] std::uint64_t crypto_verify_cache_hits() const override {
         return keys_.verify_cache_hits();
@@ -92,18 +87,11 @@ private:
         return members_.at(static_cast<std::size_t>(i));
     }
 
-    sim::Simulation sim_;
-    std::unique_ptr<net::SimNetwork> own_net_;  // null when env.transport is set
-    net::Transport& net_;
-    net::FaultInjector& faults_;
-    orb::OrbDomain domain_;
     crypto::KeyService keys_;
     fs::FsDirectory directory_;
     fs::FsHost host_;
     fsnewtop::Placement placement_;
     std::vector<Member> members_;
-    newtop::ServiceType service_;
-    Observers observers_;
 };
 
 }  // namespace failsig::deploy

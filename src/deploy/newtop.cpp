@@ -2,14 +2,7 @@
 
 namespace failsig::deploy {
 
-NewTopDeployment::NewTopDeployment(const DeploymentSpec& spec)
-    : own_net_(spec.env.external() ? nullptr
-                                   : std::make_unique<net::SimNetwork>(sim_, Rng(spec.seed),
-                                                                       net::AsyncLinkParams{})),
-      net_(net::transport_or(spec.env, own_net_.get())),
-      faults_(net::faults_or(spec.env, own_net_.get())),
-      domain_(net::sim_of_or(spec.env, sim_), net_, sim::CostModel{}, spec.threads_per_node),
-      service_(spec.service) {
+NewTopDeployment::NewTopDeployment(const DeploymentSpec& spec) : StackDeployment(spec) {
     const int n = spec.group_size;
     ensure(n >= 1, "NewTopDeployment: group_size must be >= 1");
 
@@ -21,7 +14,7 @@ NewTopDeployment::NewTopDeployment(const DeploymentSpec& spec)
     std::vector<orb::Orb*> orbs;
     std::vector<orb::ObjectRef> gc_refs(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
-        orbs.push_back(&domain_.create_orb(node_of(i)));
+        orbs.push_back(&domain().create_orb(node_of(i)));
         gc_refs[static_cast<std::size_t>(i)] = orb::ObjectRef{orbs.back()->endpoint(), "gc"};
     }
 
@@ -40,16 +33,16 @@ NewTopDeployment::NewTopDeployment(const DeploymentSpec& spec)
                 fs::Destination::plain(gc_refs[static_cast<std::size_t>(j)]);
         }
         cfg.delivery = fs::Destination::plain(orb::ObjectRef{orb.endpoint(), "inv"});
-        cfg.protocol_op_cost = domain_.costs().gc_protocol_op;
+        cfg.protocol_op_cost = domain().costs().gc_protocol_op;
         cfg.obs = spec.obs;
         cfg.obs_member = i;
         cfg.checkpoint_interval = spec.checkpoint_interval;
 
         m.gc = std::make_unique<newtop::GcServant>(orb, "gc",
                                                    std::make_unique<newtop::GcService>(cfg));
-        m.invocation = std::make_unique<newtop::PlainInvocation>(orb, "inv", *m.gc);
-        m.invocation->set_obs(spec.obs, i);
-        m.invocation->configure_batching(orb.simulation(), spec.batch);
+        m.invocation = std::make_unique<newtop::PlainInvocation>(orb, "inv", *m.gc, spec.batch,
+                                                                 spec.obs, i);
+        add_member(*m.invocation);
         m.suspector = std::make_unique<newtop::PingSuspector>(
             orb.simulation(), orb, "susp", static_cast<newtop::MemberId>(i), *m.gc,
             spec.suspector);
@@ -66,48 +59,19 @@ NewTopDeployment::NewTopDeployment(const DeploymentSpec& spec)
         member(i).suspector->set_peers(std::move(peers));
         if (spec.start_suspectors) member(i).suspector->start();
     }
-
-    // Stamps read now() lazily, so binding after construction is safe.
-    if (spec.obs != nullptr) spec.obs->bind(&sim_);
 }
 
 newtop::PlainInvocation& NewTopDeployment::invocation(int i) { return *member(i).invocation; }
 
-newtop::GcService& NewTopDeployment::gc(int i) { return member(i).gc->gc(); }
+newtop::GcService& NewTopDeployment::gc(int i) { return member(i).gc->service(); }
 
 const newtop::GcService& NewTopDeployment::gc(int i) const {
-    return members_.at(static_cast<std::size_t>(i)).gc->gc();
+    return members_.at(static_cast<std::size_t>(i)).gc->service();
 }
 
 newtop::PingSuspector& NewTopDeployment::suspector(int i) { return *member(i).suspector; }
 
 void NewTopDeployment::stop_perpetual_member(int i) { member(i).suspector->stop(); }
-
-BatchStats NewTopDeployment::batch_stats() const {
-    BatchStats stats;
-    for (const auto& m : members_) stats += m.invocation->batch_stats();
-    return stats;
-}
-
-void NewTopDeployment::attach(Observers observers) {
-    observers_ = std::move(observers);
-    for (int i = 0; i < group_size(); ++i) {
-        if (observers_.delivered) {
-            invocation(i).on_delivery([this, i](const newtop::Delivery& d) {
-                observers_.delivered(i, d.payload);
-            });
-        }
-        if (observers_.view_installed) {
-            invocation(i).on_view([this, i](const newtop::GroupView& v) {
-                observers_.view_installed(i, v);
-            });
-        }
-    }
-}
-
-void NewTopDeployment::submit(int i, Bytes payload) {
-    invocation(i).multicast(service_, std::move(payload));
-}
 
 std::vector<RecoveryStep> NewTopDeployment::recover_steps(int i) {
     std::vector<RecoveryStep> steps;
@@ -125,7 +89,7 @@ std::vector<RecoveryStep> NewTopDeployment::recover_steps(int i) {
     // survivors for readmission.
     steps.push_back({node_of(i), [this, i] {
                          suspector(i).forgive_all();
-                         invocation(i).prepare_rejoin();
+                         invocation(i).resume_deliveries_at(1);
                          member(i).gc->submit_local("__rejoin", Bytes{});
                      }});
     return steps;

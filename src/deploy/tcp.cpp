@@ -234,25 +234,28 @@ void TcpDeployment::submit(int member, Bytes payload) {
     });
 }
 
+bool TcpDeployment::owns_its_hosts(int member) const {
+    std::set<std::uint32_t> others;
+    for (int other = 0; other < inner_->group_size(); ++other) {
+        if (other == member) continue;
+        for (const NodeId node : inner_->nodes_of(other)) others.insert(node.value);
+    }
+    const std::vector<NodeId> mine = inner_->nodes_of(member);
+    return std::none_of(mine.begin(), mine.end(),
+                        [&](NodeId node) { return others.contains(node.value); });
+}
+
 void TcpDeployment::crash(int member) {
     // Members with dedicated hosts get the real thing: executor teardown plus
     // frame-dropping at the transport. Members sharing hosts with healthy
     // members (FS-NewTOP, where app hosts double as pair hosts) keep their
     // stack's own crash semantics — tearing a shared host down would take
     // healthy members with it.
-    const std::vector<NodeId> mine = inner_->nodes_of(member);
-    std::set<std::uint32_t> others;
-    for (int other = 0; other < inner_->group_size(); ++other) {
-        if (other == member) continue;
-        for (const NodeId node : inner_->nodes_of(other)) others.insert(node.value);
-    }
-    const bool exclusive = std::none_of(mine.begin(), mine.end(), [&](NodeId node) {
-        return others.contains(node.value);
-    });
-    if (!exclusive) {
+    if (!owns_its_hosts(member)) {
         inner_->crash(member);
         return;
     }
+    const std::vector<NodeId> mine = inner_->nodes_of(member);
     for (const NodeId node : mine) transport_->isolate(node);
     {
         const std::lock_guard lock(mu_);
@@ -271,16 +274,8 @@ void TcpDeployment::recover(int member) {
     // Mirror of crash(): members with dedicated hosts get their frames
     // re-admitted and their executor threads respawned; shared-host members
     // (FS-NewTOP) delegate link healing to the wrapped stack.
-    const std::vector<NodeId> mine = inner_->nodes_of(member);
-    std::set<std::uint32_t> others;
-    for (int other = 0; other < inner_->group_size(); ++other) {
-        if (other == member) continue;
-        for (const NodeId node : inner_->nodes_of(other)) others.insert(node.value);
-    }
-    const bool exclusive = std::none_of(mine.begin(), mine.end(), [&](NodeId node) {
-        return others.contains(node.value);
-    });
-    if (exclusive) {
+    if (owns_its_hosts(member)) {
+        const std::vector<NodeId> mine = inner_->nodes_of(member);
         for (const NodeId node : mine) transport_->restore(node);
         // The crashed executors' threads have exited their loops; join them
         // outside the hub mutex, then reset and respawn.

@@ -121,6 +121,9 @@ private:
         std::thread thread;
     };
 
+    /// True when no other member shares any of `member`'s nodes: crash()
+    /// and recover() then act on its executors and transport frames.
+    [[nodiscard]] bool owns_its_hosts(int member) const;
     [[nodiscard]] NodeExecutor& executor_for(NodeId node);
     [[nodiscard]] NodeExecutor* find_executor(NodeId node);
     void post(NodeId node, std::function<void()> task);

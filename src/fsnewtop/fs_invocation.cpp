@@ -3,8 +3,11 @@
 namespace failsig::fsnewtop {
 
 FsInvocation::FsInvocation(fs::FsRuntime& rt, orb::Orb& orb, const std::string& key,
-                           std::string gc_fs_name)
-    : gc_fs_name_(std::move(gc_fs_name)), client_(rt, orb, key) {
+                           std::string gc_fs_name, const BatchConfig& batch, obs::Obs* obs,
+                           int member)
+    : InvocationService(orb.simulation(), batch, obs, member),
+      gc_fs_name_(std::move(gc_fs_name)),
+      client_(rt, orb, key) {
     client_.on_response(
         [this](const std::string& source, const std::string& operation, const Bytes& body) {
             if (source == gc_fs_name_ && operation == "deliver") {

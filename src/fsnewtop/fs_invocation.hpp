@@ -18,7 +18,7 @@ public:
     /// `gc_fs_name` is the logical name of this member's FS-wrapped GC
     /// (e.g. "GC:2"). The FsClient registers under `key` on `orb`.
     FsInvocation(fs::FsRuntime& rt, orb::Orb& orb, const std::string& key,
-                 std::string gc_fs_name);
+                 std::string gc_fs_name, const BatchConfig& batch, obs::Obs* obs, int member);
 
     /// The object reference GC deliveries must be addressed to (used when
     /// building the pair's GcConfig).

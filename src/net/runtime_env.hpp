@@ -10,7 +10,6 @@
 
 #include <functional>
 
-#include "common/result.hpp"
 #include "net/transport.hpp"
 
 namespace failsig::sim {
@@ -31,25 +30,5 @@ struct RuntimeEnv {
 
     [[nodiscard]] bool external() const { return transport != nullptr; }
 };
-
-/// Binding helpers for stack deployment constructors: pick the external
-/// plane when provided, else the stack-owned fallback.
-[[nodiscard]] inline Transport& transport_or(const RuntimeEnv& env, Transport* own) {
-    Transport* chosen = env.transport != nullptr ? env.transport : own;
-    ensure(chosen != nullptr, "RuntimeEnv: no transport available");
-    return *chosen;
-}
-
-[[nodiscard]] inline FaultInjector& faults_or(const RuntimeEnv& env, FaultInjector* own) {
-    FaultInjector* chosen = env.faults != nullptr ? env.faults : own;
-    ensure(chosen != nullptr, "RuntimeEnv: an external transport needs an external fault plane");
-    return *chosen;
-}
-
-[[nodiscard]] inline std::function<sim::Simulation&(NodeId)> sim_of_or(const RuntimeEnv& env,
-                                                                       sim::Simulation& own) {
-    if (env.sim_of) return env.sim_of;
-    return [&own](NodeId) -> sim::Simulation& { return own; };
-}
 
 }  // namespace failsig::net

@@ -30,6 +30,7 @@
 #include <set>
 
 #include "app/kv_store.hpp"
+#include "fs/servant.hpp"
 #include "fs/service.hpp"
 #include "newtop/wire.hpp"
 #include "obs/obs.hpp"
@@ -240,5 +241,8 @@ private:
     std::uint64_t flush_log_evictions_{0};
     std::uint64_t flush_eviction_gaps_{0};
 };
+
+/// The crash-tolerant NewTOP GC object: one GcService hosted unwrapped.
+using GcServant = fs::ServiceServant<GcService>;
 
 }  // namespace failsig::newtop

@@ -2,29 +2,25 @@
 
 namespace failsig::newtop {
 
+InvocationService::InvocationService(sim::Simulation& sim, const BatchConfig& batch,
+                                     obs::Obs* obs, int member)
+    : obs_(obs),
+      obs_member_(member),
+      batcher_(
+          batch,
+          [this](Bytes unit, std::size_t) {
+              if (obs_ != nullptr) trace_flush(unit);
+              do_multicast(batch_service_, std::move(unit));
+          },
+          [&sim](Duration delay, std::function<void()> fn) {
+              sim.schedule_after(delay, std::move(fn));
+          }) {}
+
 void InvocationService::multicast(ServiceType service, Bytes payload) {
     if (obs_ != nullptr) obs_->span(obs::Stage::kSubmit, payload, obs_member_);
-    if (!batcher_) {  // constructed without configure_batching (direct use)
-        do_multicast(service, std::move(payload));
-        return;
-    }
-    if (batcher_->pending() > 0 && service != batch_service_) batcher_->flush_now();
+    if (batcher_.pending() > 0 && service != batch_service_) batcher_.flush_now();
     batch_service_ = service;
-    batcher_->submit(std::move(payload));
-}
-
-void InvocationService::configure_batching(sim::Simulation& sim, BatchConfig config) {
-    // Always routed through the Batcher: with batching off it is a counted
-    // passthrough, so requests_submitted means the same thing on every stack.
-    batcher_ = std::make_unique<Batcher>(
-        config,
-        [this](Bytes unit, std::size_t) {
-            if (obs_ != nullptr) trace_flush(unit);
-            do_multicast(batch_service_, std::move(unit));
-        },
-        [&sim](Duration delay, std::function<void()> fn) {
-            sim.schedule_after(delay, std::move(fn));
-        });
+    batcher_.submit(std::move(payload));
 }
 
 void InvocationService::trace_flush(const Bytes& unit) {
@@ -41,24 +37,19 @@ void InvocationService::trace_flush(const Bytes& unit) {
 
 void InvocationService::handle_delivery_bytes(const Bytes& body) {
     auto delivery = Delivery::decode(body);
-    if (!delivery.has_value()) return;
+    if (delivery.has_value()) deliver(std::move(delivery).value());
+}
 
-    // Re-sequence by the GC's delivery stream position: FS-wrapped GC
-    // deliveries are independent signed messages and may overtake each other
-    // on the wire, but the application must observe the GC's order.
-    const std::uint64_t seq = delivery.value().delivery_seq;
-    if (seq != 0) {
-        if (seq < next_delivery_seq_) return;  // stale duplicate
-        pending_deliveries_.emplace(seq, std::move(delivery).value());
-        while (true) {
-            const auto it = pending_deliveries_.find(next_delivery_seq_);
-            if (it == pending_deliveries_.end()) break;
-            upcall(it->second);
-            pending_deliveries_.erase(it);
-            ++next_delivery_seq_;
-        }
-    } else {
-        upcall(delivery.value());  // unsequenced (legacy/test) delivery
+void InvocationService::deliver(Delivery d) {
+    const std::uint64_t seq = d.delivery_seq;
+    if (seq < next_delivery_seq_) return;  // stale duplicate
+    pending_deliveries_.emplace(seq, std::move(d));
+    while (true) {
+        const auto it = pending_deliveries_.find(next_delivery_seq_);
+        if (it == pending_deliveries_.end()) break;
+        upcall(it->second);
+        pending_deliveries_.erase(it);
+        ++next_delivery_seq_;
     }
 }
 
@@ -90,9 +81,10 @@ void InvocationService::upcall_single(const Delivery& d) {
     if (delivery_handler_) delivery_handler_(d);
 }
 
-PlainInvocation::PlainInvocation(orb::Orb& orb, const std::string& key, GcServant& local_gc)
-    : local_gc_(local_gc) {
-    self_ref_ = orb.activate(key, this);
+PlainInvocation::PlainInvocation(orb::Orb& orb, const std::string& key, GcServant& local_gc,
+                                 const BatchConfig& batch, obs::Obs* obs, int member)
+    : InvocationService(orb.simulation(), batch, obs, member), local_gc_(local_gc) {
+    orb.activate(key, this);
 }
 
 void PlainInvocation::do_multicast(ServiceType service, Bytes payload) {

@@ -23,7 +23,7 @@ void PingSuspector::stop() { running_ = false; }
 
 void PingSuspector::tick() {
     if (!running_) return;
-    const GroupView& view = local_gc_.gc().view();
+    const GroupView& view = local_gc_.service().view();
     for (const auto& [member, ref] : peers_) {
         if (!view.contains(member) || suspected_.contains(member)) continue;
 

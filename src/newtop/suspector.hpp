@@ -5,7 +5,7 @@
 // NewTOP groups split even without failures (paper §1, §3.1).
 #pragma once
 
-#include "newtop/gc_servant.hpp"
+#include "newtop/gc_service.hpp"
 #include "sim/simulation.hpp"
 
 namespace failsig::newtop {

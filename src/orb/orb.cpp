@@ -27,14 +27,6 @@ ObjectRef Orb::activate(const std::string& key, Servant* servant) {
 
 void Orb::deactivate(const std::string& key) { servants_.erase(key); }
 
-void Orb::add_client_interceptor(std::shared_ptr<ClientInterceptor> interceptor) {
-    client_interceptors_.push_back(std::move(interceptor));
-}
-
-void Orb::add_server_interceptor(std::shared_ptr<ServerInterceptor> interceptor) {
-    server_interceptors_.push_back(std::move(interceptor));
-}
-
 void Orb::invoke(const ObjectRef& target, const std::string& operation, Any args,
                  ServiceContexts contexts) {
     Request req;
@@ -45,22 +37,12 @@ void Orb::invoke(const ObjectRef& target, const std::string& operation, Any args
     req.contexts = std::move(contexts);
     req.sender = endpoint_;
 
-    std::vector<ObjectRef> targets{target};
-    for (const auto& interceptor : client_interceptors_) {
-        interceptor->send_request(req, targets);
-    }
-
     // Marshalling happens once per outgoing request on the sender's CPU.
     const Duration marshal_cost = costs_.marshal(req.wire_size());
-    pool_.submit(marshal_cost, [this, req = std::move(req), targets = std::move(targets)] {
-        // One body for all targets; only the tiny object-key header is
-        // materialized per target.
-        const Payload body{req.encode_body()};
-        for (const auto& t : targets) {
-            ++requests_sent_;
-            net_.send(endpoint_, t.endpoint,
-                      Payload::prefixed(Request::encode_key(t.key), body));
-        }
+    pool_.submit(marshal_cost, [this, req = std::move(req), target] {
+        ++requests_sent_;
+        net_.send(endpoint_, target.endpoint,
+                  Payload::prefixed(Request::encode_key(target.key), Payload{req.encode_body()}));
     });
 }
 
@@ -75,17 +57,12 @@ void Orb::invoke_fanout(const std::vector<ObjectRef>& targets, const std::string
     req.contexts = std::move(contexts);
     req.sender = endpoint_;
 
-    std::vector<ObjectRef> resolved = targets;
-    for (const auto& interceptor : client_interceptors_) {
-        interceptor->send_request(req, resolved);
-    }
-
     // One pool task per target — byte-for-byte the same simulated marshal
     // charge a per-target invoke() loop would incur — but the body they
     // send is encoded exactly once, here, and shared.
     const Payload body{req.encode_body()};
     const std::size_t body_wire = req.wire_size_sans_key();
-    for (const auto& t : resolved) {
+    for (const auto& t : targets) {
         const Duration marshal_cost = costs_.marshal(body_wire + t.key.size());
         pool_.submit(marshal_cost, [this, t, body] {
             ++requests_sent_;
@@ -110,9 +87,6 @@ void Orb::on_network_message(const net::Message& msg) {
     // Guard against this ORB being destroyed while the task sits in the pool.
     pool_.submit(cost, [this, alive = alive_, req] {
         if (!*alive) return;
-        for (const auto& interceptor : server_interceptors_) {
-            if (!interceptor->receive_request(*req)) return;
-        }
         const auto it = servants_.find(req->object_key);
         if (it == servants_.end()) {
             FAILSIG_LOG(LogLevel::kDebug, ORB)

@@ -1,17 +1,16 @@
-// Mini-ORB: location-independent oneway invocation with portable
-// interceptors and a per-node request-handling thread pool.
+// Mini-ORB: location-independent oneway invocation with a per-node
+// request-handling thread pool.
 //
 // This is the substrate the paper leans on (§3, §3.1):
 //  * location independence — callers hold ObjectRefs, never pointers, so a
 //    servant can live on any node ("that GC' is hosted on a different node
 //    to the Invocation layer will not matter since the communication between
 //    the two is via the ORB");
-//  * interceptors — requests can be observed/modified/fanned-out/suppressed
-//    on the fly, which is how FS wrapping stays transparent to the wrapped
-//    GC object ("a call to NewTOP GC ... is intercepted on the fly and is
-//    submitted to both GC and GC'");
 //  * a configurable thread pool (default 10) handling incoming requests —
 //    the contention source behind Figure 7's throughput shape.
+// The paper's interception of GC-bound calls ("a call to NewTOP GC ... is
+// intercepted on the fly and is submitted to both GC and GC'") is
+// fs::FsClient's job: it sits between the Invocation layer and the ORB.
 #pragma once
 
 #include <functional>
@@ -36,24 +35,6 @@ public:
     virtual void dispatch(const Request& request) = 0;
 };
 
-/// Client-side interceptor: sees every outgoing request before marshalling.
-/// It may mutate the request (e.g. add signature service contexts) and may
-/// rewrite the target list (e.g. fan a GC-bound call out to FSO and FSO').
-class ClientInterceptor {
-public:
-    virtual ~ClientInterceptor() = default;
-    virtual void send_request(Request& request, std::vector<ObjectRef>& targets) = 0;
-};
-
-/// Server-side interceptor: sees every incoming request after unmarshalling
-/// and before servant dispatch. Returning false suppresses delivery (used to
-/// drop duplicate double-signed responses and reject bad signatures).
-class ServerInterceptor {
-public:
-    virtual ~ServerInterceptor() = default;
-    virtual bool receive_request(Request& request) = 0;
-};
-
 /// One ORB instance; binds one endpoint on its node and hosts any number of
 /// servants keyed by object key.
 class Orb {
@@ -69,23 +50,18 @@ public:
     ObjectRef activate(const std::string& key, Servant* servant);
     void deactivate(const std::string& key);
 
-    /// Oneway invocation through the client interceptor chain. When
-    /// interceptors fan the call out to several targets, the request body is
-    /// encoded once and shared (zero-copy) across all of them.
+    /// Oneway invocation: marshals the request on this node's pool and
+    /// sends it to `target`.
     void invoke(const ObjectRef& target, const std::string& operation, Any args,
                 ServiceContexts contexts = {});
 
     /// Fan-out invocation: one logical request, many targets. Equivalent to
     /// one invoke() per target — same per-target marshal charge on the pool,
-    /// same wire bytes — except the interceptor chain runs once over the
-    /// whole target list and the body is encoded once and shared. The
+    /// same wire bytes — except the body is encoded once and shared. The
     /// protocol out-queues (GC broadcast, PBFT broadcast, FS client
     /// replica pairs) use this so a multicast costs O(1) encodes.
     void invoke_fanout(const std::vector<ObjectRef>& targets, const std::string& operation,
                        Any args, ServiceContexts contexts = {});
-
-    void add_client_interceptor(std::shared_ptr<ClientInterceptor> interceptor);
-    void add_server_interceptor(std::shared_ptr<ServerInterceptor> interceptor);
 
     [[nodiscard]] Endpoint endpoint() const { return endpoint_; }
     [[nodiscard]] NodeId node() const { return endpoint_.node; }
@@ -106,8 +82,6 @@ private:
     sim::CostModel costs_;
     std::uint64_t next_request_id_{1};
     std::unordered_map<std::string, Servant*> servants_;
-    std::vector<std::shared_ptr<ClientInterceptor>> client_interceptors_;
-    std::vector<std::shared_ptr<ServerInterceptor>> server_interceptors_;
     std::uint64_t requests_sent_{0};
     std::uint64_t requests_dispatched_{0};
     std::shared_ptr<bool> alive_;

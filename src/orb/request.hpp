@@ -2,9 +2,8 @@
 //
 // An ObjectRef is an IOR-lite: the endpoint the object's ORB listens on plus
 // the object key. Service contexts are named byte blobs piggybacked on a
-// request — exactly the CORBA mechanism that signature-carrying interceptors
-// use (the FS wrappers put single/double signatures there, transparently to
-// the target object).
+// request (CORBA's out-of-band metadata channel): the ORB carries them
+// opaquely on the wire and charges their bytes like the arguments'.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +36,7 @@ struct Request {
     Any args;                  ///< marshalled arguments
     ObjectRef reply_to;        ///< where responses should be directed (optional)
     std::uint64_t request_id{0};
-    ServiceContexts contexts;  ///< interceptor-managed metadata (signatures &c)
+    ServiceContexts contexts;  ///< out-of-band metadata, carried opaquely
     Endpoint sender;           ///< filled in by the receiving ORB
 
     // The wire image is [header][body]: the header is the length-prefixed

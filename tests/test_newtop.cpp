@@ -802,5 +802,56 @@ TEST(NewTopDeployment, MessageSizeAffectsNothingButPayload) {
     EXPECT_EQ(got[0], big);
 }
 
+// ---------------------------------------------------------------------------
+// The shared delivery stream: every stack's Invocation layer re-sequences,
+// unbatches and drops stale positions through InvocationService::deliver.
+// ---------------------------------------------------------------------------
+
+/// A bare Invocation layer whose ordering layer is the test: it hands
+/// deliveries up at chosen stream positions.
+class StreamProbe final : public InvocationService {
+public:
+    explicit StreamProbe(sim::Simulation& sim)
+        : InvocationService(sim, BatchConfig{}, nullptr, 0) {
+        on_delivery([this](const Delivery& d) { seen.push_back(string_of(d.payload)); });
+    }
+
+    void hand_up(std::uint64_t seq, Bytes payload) {
+        Delivery d;
+        d.delivery_seq = seq;
+        d.payload = std::move(payload);
+        deliver(std::move(d));
+    }
+
+    std::vector<std::string> seen;
+
+protected:
+    void do_multicast(ServiceType, Bytes) override {}
+};
+
+TEST(InvocationStream, ReleasesInStackOrderDropsStaleAndResumes) {
+    sim::Simulation sim;
+    StreamProbe inv(sim);
+
+    inv.hand_up(2, bytes_of("b"));
+    EXPECT_TRUE(inv.seen.empty());  // held until position 1 arrives
+
+    inv.hand_up(1, Batch::encode({bytes_of("a1"), bytes_of("a2")}));
+    EXPECT_EQ(inv.seen, (std::vector<std::string>{"a1", "a2", "b"}));
+
+    inv.hand_up(2, bytes_of("b again"));  // already released: stale
+    EXPECT_EQ(inv.seen.size(), 3u);
+
+    // A restarted stream: what the old stream held back (positions 5 and 7)
+    // is dropped, and everything below the resume point is stale.
+    inv.hand_up(5, bytes_of("old 5"));
+    inv.hand_up(7, bytes_of("old 7"));
+    inv.resume_deliveries_at(7);
+    inv.hand_up(6, bytes_of("old 6"));
+    EXPECT_EQ(inv.seen.size(), 3u);
+    inv.hand_up(7, bytes_of("resumed"));
+    EXPECT_EQ(inv.seen, (std::vector<std::string>{"a1", "a2", "b", "resumed"}));
+}
+
 }  // namespace
 }  // namespace failsig::newtop

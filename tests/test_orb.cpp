@@ -1,5 +1,5 @@
-// Unit tests for the mini-ORB: Any codec, request codec, invocation through
-// interceptors, thread-pool dispatch, per-node pool sharing.
+// Unit tests for the mini-ORB: Any codec, request codec, invocation,
+// thread-pool dispatch, per-node pool sharing.
 #include <gtest/gtest.h>
 
 #include "net/network.hpp"
@@ -171,66 +171,6 @@ TEST(Orb, SelfInvocationWorks) {
     a.invoke(ref, "op", Any{std::int64_t{1}});
     w.sim.run();
     EXPECT_EQ(servant.requests.size(), 1u);
-}
-
-class FanOutInterceptor : public ClientInterceptor {
-public:
-    explicit FanOutInterceptor(ObjectRef extra) : extra_(std::move(extra)) {}
-    void send_request(Request& request, std::vector<ObjectRef>& targets) override {
-        request.contexts["tag"] = bytes_of("seen");
-        targets.push_back(extra_);
-    }
-
-private:
-    ObjectRef extra_;
-};
-
-TEST(Orb, ClientInterceptorCanFanOutAndTag) {
-    TestWorld w;
-    Orb& client = w.domain.create_orb(NodeId{1});
-    Orb& s1 = w.domain.create_orb(NodeId{2});
-    Orb& s2 = w.domain.create_orb(NodeId{3});
-
-    RecordingServant a, b;
-    const ObjectRef ra = s1.activate("svc", &a);
-    const ObjectRef rb = s2.activate("svc", &b);
-
-    client.add_client_interceptor(std::make_shared<FanOutInterceptor>(rb));
-    client.invoke(ra, "op", Any{});
-    w.sim.run();
-
-    ASSERT_EQ(a.requests.size(), 1u);
-    ASSERT_EQ(b.requests.size(), 1u);
-    EXPECT_EQ(string_of(a.requests[0].contexts.at("tag")), "seen");
-    // Both copies share the request id (needed for dedup downstream).
-    EXPECT_EQ(a.requests[0].request_id, b.requests[0].request_id);
-}
-
-class SuppressInterceptor : public ServerInterceptor {
-public:
-    bool receive_request(Request& request) override {
-        ++seen;
-        return request.operation != "blocked";
-    }
-    int seen{0};
-};
-
-TEST(Orb, ServerInterceptorCanSuppress) {
-    TestWorld w;
-    Orb& client = w.domain.create_orb(NodeId{1});
-    Orb& server = w.domain.create_orb(NodeId{2});
-    RecordingServant servant;
-    const ObjectRef ref = server.activate("svc", &servant);
-    auto interceptor = std::make_shared<SuppressInterceptor>();
-    server.add_server_interceptor(interceptor);
-
-    client.invoke(ref, "blocked", Any{});
-    client.invoke(ref, "allowed", Any{});
-    w.sim.run();
-
-    EXPECT_EQ(interceptor->seen, 2);
-    ASSERT_EQ(servant.requests.size(), 1u);
-    EXPECT_EQ(servant.requests[0].operation, "allowed");
 }
 
 TEST(Orb, CollocatedOrbsShareNodePool) {
