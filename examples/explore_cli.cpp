@@ -64,10 +64,6 @@ void usage(const char* prog) {
         "  --unsound-suspectors     add NewTOP timeout suspectors to the grammar\n"
         "                           (explores the paper's known false-suspicion\n"
         "                           pathology; violations are then EXPECTED)\n"
-        "  --exclusive-overlap      quarantine member faults away from dense\n"
-        "                           traffic (loads/bursts) again, as the default\n"
-        "                           grammar did before the view-synchronous\n"
-        "                           flush; overlap is on by default now\n"
         "  --replay FILE            re-run a reproducer spec and verify it\n"
         "  --trace                  with --replay: dump the canonical trace\n",
         prog);
@@ -297,8 +293,6 @@ int main(int argc, char** argv) {
             config.grammar.churn = true;
         } else if (arg == "--unsound-suspectors") {
             config.grammar.newtop_suspectors = true;
-        } else if (arg == "--exclusive-overlap") {
-            config.grammar.exclusive_traffic_and_member_faults = true;
         } else if (arg == "--replay") {
             replay_path = value();
         } else if (arg == "--trace") {

@@ -199,8 +199,8 @@ int main(int argc, char** argv) {
     const std::uint64_t seed = cli.seed_set ? cli.seed : 7;
 
     auto campaigns = build_campaigns(seed);
-    // --only narrows the campaign list (CI runs just the load campaigns on
-    // TCP); --backend tcp reruns the surviving campaigns on real sockets.
+    // --only narrows the campaign list; --backend tcp reruns the surviving
+    // campaigns on real sockets (CI runs every campaign there).
     if (!cli.only.empty()) {
         std::erase_if(campaigns, [&](const Entry& e) {
             return e.scenario.name.find(cli.only) == std::string::npos;

@@ -178,10 +178,10 @@ public:
     /// now()/schedule()/run()/run_until() below instead of reaching in —
     /// they are backend-agnostic.
     [[nodiscard]] virtual sim::Simulation& sim() = 0;
-    /// Message plane (stats, lifecycle). Fault hooks live on faults().
+    /// Message plane (stats, lifecycle, fault model).
     [[nodiscard]] virtual net::Transport& network() = 0;
-    /// Fault-injection plane (block/partition/delay/drop/corrupt).
-    [[nodiscard]] virtual net::FaultInjector& faults() = 0;
+    /// The message plane's fault model (block/partition/delay/drop/corrupt).
+    [[nodiscard]] net::FaultInjector& faults() { return network().faults(); }
     [[nodiscard]] virtual int group_size() const = 0;
     /// Physical nodes that embody `member` (its host plus any dedicated pair
     /// nodes). Host-level faults (crash, partition) operate on these.

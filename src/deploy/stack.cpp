@@ -1,26 +1,13 @@
 #include "deploy/stack.hpp"
 
-#include "common/result.hpp"
-
 namespace failsig::deploy {
 
-namespace {
-
-std::unique_ptr<net::SimNetwork> own_network(sim::Simulation& sim, const DeploymentSpec& spec) {
-    if (!spec.env.external()) {
-        return std::make_unique<net::SimNetwork>(sim, Rng(spec.seed), net::AsyncLinkParams{});
-    }
-    ensure(spec.env.faults != nullptr,
-           "RuntimeEnv: an external transport needs an external fault plane");
-    return nullptr;
-}
-
-}  // namespace
-
 StackDeployment::StackDeployment(const DeploymentSpec& spec)
-    : own_net_(own_network(sim_, spec)),
+    : own_net_(spec.env.external()
+                   ? nullptr
+                   : std::make_unique<net::SimNetwork>(sim_, Rng(spec.seed),
+                                                       net::AsyncLinkParams{})),
       net_(own_net_ ? *own_net_ : *spec.env.transport),
-      faults_(own_net_ ? *own_net_ : *spec.env.faults),
       domain_(spec.env.sim_of ? spec.env.sim_of
                               : [this](NodeId) -> sim::Simulation& { return sim_; },
               net_, sim::CostModel{}, spec.threads_per_node),

@@ -1,10 +1,10 @@
 // What the three protocol stacks share below and above their protocol
-// objects: the world they run in (one Simulation, the message and fault
-// planes, the ORB domain) and the application-facing Invocation layer each
-// member submits through and delivers from. A stack class derives from
-// StackDeployment, builds its protocol objects on domain(), and registers
-// each member's Invocation layer with add_member; submit, attach and
-// batch_stats then work the same for every stack.
+// objects: the world they run in (one Simulation, the message plane with
+// its fault model, the ORB domain) and the application-facing Invocation
+// layer each member submits through and delivers from. A stack class
+// derives from StackDeployment, builds its protocol objects on domain(),
+// and registers each member's Invocation layer with add_member; submit,
+// attach and batch_stats then work the same for every stack.
 #pragma once
 
 #include <memory>
@@ -20,7 +20,6 @@ class StackDeployment : public Deployment {
 public:
     [[nodiscard]] sim::Simulation& sim() final { return sim_; }
     [[nodiscard]] net::Transport& network() final { return net_; }
-    [[nodiscard]] net::FaultInjector& faults() final { return faults_; }
     [[nodiscard]] int group_size() const final { return static_cast<int>(invocations_.size()); }
 
     /// Hooks the observers onto every member's Invocation layer.
@@ -31,7 +30,7 @@ public:
 
 protected:
     /// Builds the world from `spec`: a stack-owned SimNetwork on the shared
-    /// Simulation, or the external planes and per-node loops of spec.env.
+    /// Simulation, or the external transport and per-node loops of spec.env.
     /// Binds spec.obs to the Simulation.
     explicit StackDeployment(const DeploymentSpec& spec);
 
@@ -44,7 +43,6 @@ private:
     sim::Simulation sim_;
     std::unique_ptr<net::SimNetwork> own_net_;  // null when spec.env is external
     net::Transport& net_;
-    net::FaultInjector& faults_;
     orb::OrbDomain domain_;
     newtop::ServiceType service_;
     std::vector<newtop::InvocationService*> invocations_;

@@ -44,7 +44,6 @@ TcpDeployment::TcpDeployment(SystemKind system, const DeploymentSpec& spec) {
     // single deterministic clock to bind, so tracing is sim-backend-only.
     inner_spec.obs = nullptr;
     inner_spec.env.transport = transport_.get();
-    inner_spec.env.faults = transport_.get();
     inner_spec.env.sim_of = [this](NodeId node) -> sim::Simulation& {
         return executor_for(node).sim;
     };

@@ -50,7 +50,6 @@ public:
     /// per-node loops are internal to the executors.
     [[nodiscard]] sim::Simulation& sim() override { return driver_; }
     [[nodiscard]] net::Transport& network() override { return *transport_; }
-    [[nodiscard]] net::FaultInjector& faults() override { return *transport_; }
     [[nodiscard]] int group_size() const override { return inner_->group_size(); }
     [[nodiscard]] std::vector<NodeId> nodes_of(int member) const override {
         return inner_->nodes_of(member);

@@ -29,18 +29,9 @@ enum class Draw : std::uint8_t {
 };
 
 std::vector<Draw> allowed_draws(const FaultGrammar& g, SystemKind system, int n,
-                                int member_fault_budget, bool has_dense_traffic,
-                                bool has_member_fault) {
-    // The exclusive-traffic/member-fault gate (see FaultGrammar) only binds
-    // on stacks where a member fault triggers a membership exclusion.
-    const bool excludes_members =
-        system == SystemKind::kFsNewTop ||
-        (system == SystemKind::kNewTop && g.newtop_suspectors);
-    const bool gate = g.exclusive_traffic_and_member_faults && excludes_members;
-
+                                int member_fault_budget) {
     std::vector<Draw> draws;
-    const bool member_fault_ok = member_fault_budget > 0 && !(gate && has_dense_traffic);
-    const bool dense_traffic_ok = !(gate && has_member_fault);
+    const bool member_fault_ok = member_fault_budget > 0;
     if (g.crashes && member_fault_ok) {
         // NewTOP/PBFT crash hosts directly; FS-NewTOP episodes run the
         // dedicated-node placement (set in generate_episode) so host faults
@@ -51,8 +42,8 @@ std::vector<Draw> allowed_draws(const FaultGrammar& g, SystemKind system, int n,
         draws.push_back(Draw::kFaultPlan);
     }
     if (g.delay_surges) draws.push_back(Draw::kDelaySurge);
-    if (g.bursts && n > 0 && dense_traffic_ok) draws.push_back(Draw::kBurst);
-    if (g.loads && dense_traffic_ok) draws.push_back(Draw::kLoad);
+    if (g.bursts && n > 0) draws.push_back(Draw::kBurst);
+    if (g.loads) draws.push_back(Draw::kLoad);
     if (g.pbft_timeouts && system == SystemKind::kPbft) draws.push_back(Draw::kPbftTimeouts);
     if (g.churn && member_fault_ok &&
         (system != SystemKind::kNewTop || g.newtop_suspectors)) {
@@ -158,13 +149,11 @@ Scenario generate_episode(const ExploreConfig& config, SystemKind system, int n,
     const FaultGrammar& g = config.grammar;
     int fault_budget = member_fault_budget(system, n);
     std::set<int> faulted;
-    bool has_dense_traffic = false;
     TimePoint churn_end = 0;
     const int events = static_cast<int>(rng.uniform(
         static_cast<std::uint64_t>(std::max(0, g.max_fault_events)) + 1));
     for (int k = 0; k < events; ++k) {
-        const auto draws =
-            allowed_draws(g, system, n, fault_budget, has_dense_traffic, !faulted.empty());
+        const auto draws = allowed_draws(g, system, n, fault_budget);
         if (draws.empty()) break;
         const Draw draw = draws[rng.uniform(draws.size())];
         const TimePoint at = static_cast<TimePoint>(
@@ -196,7 +185,6 @@ Scenario generate_episode(const ExploreConfig& config, SystemKind system, int n,
                 const int member = static_cast<int>(rng.uniform(static_cast<std::uint64_t>(n)));
                 const int messages = 1 + static_cast<int>(rng.uniform(6));
                 s.timeline.push_back(ScenarioEvent::burst(at, member, messages));
-                has_dense_traffic = true;
                 break;
             }
             case Draw::kLoad: {
@@ -206,7 +194,6 @@ Scenario generate_episode(const ExploreConfig& config, SystemKind system, int n,
                     static_cast<Duration>(rng.uniform(300 * kMillisecond));
                 load.payload = 8 + static_cast<std::size_t>(rng.uniform(25));
                 s.timeline.push_back(ScenarioEvent::load(at, load));
-                has_dense_traffic = true;
                 break;
             }
             case Draw::kPbftTimeouts:
@@ -367,8 +354,6 @@ std::string ExploreReport::to_json() const {
     w.field("pbft_timeouts", config.grammar.pbft_timeouts);
     w.field("newtop_suspectors", config.grammar.newtop_suspectors);
     w.field("churn", config.grammar.churn);
-    w.field("exclusive_traffic_and_member_faults",
-            config.grammar.exclusive_traffic_and_member_faults);
     w.field("shrink", config.shrink);
     w.field("custom_checkers", !config.checkers.empty());
     w.end_object();

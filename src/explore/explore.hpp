@@ -30,10 +30,9 @@
 // knobs it keeps off by default (timeout suspectors on plain NewTOP —
 // exactly the paper's false-suspicion pathology) are available for
 // deliberately exploring known-unsound territory. Member faults overlapping
-// dense traffic used to be quarantined out of the sound set too (the GC
-// installed views without a flush); since the view-synchronous flush landed
-// the overlap is part of the default grammar — it is the flush protocol's
-// hardest axis and the regression surface CI fuzzes hardest.
+// dense traffic are part of the default grammar: the overlap is the
+// view-synchronous flush's hardest axis and the regression surface CI
+// fuzzes hardest.
 #pragma once
 
 #include <cstddef>
@@ -78,20 +77,6 @@ struct FaultGrammar {
     /// runs under a dedicated CI campaign with a pinned seed, not inside the
     /// default soundness sweep.
     bool churn{false};
-    /// Historical quarantine knob: when true, on stacks with membership
-    /// exclusions (FS-NewTOP; NewTOP when suspectors run) an episode draws
-    /// EITHER dense-traffic events (load phases, bursts) OR member-fault
-    /// events, never both. It guarded the one hole the explorer itself
-    /// found — the GC used to install views without a flush round, so
-    /// excluding a member while multicasts were in flight could deliver
-    /// them at different positions on different survivors. The
-    /// view-synchronous flush closed that hole (the minimal reproducer,
-    /// tests/fixtures/flush_gap_agreement.scenario, is now a passing
-    /// regression), so the overlap is back in the sound default grammar:
-    /// member faults under dense traffic is the flush's hardest axis and
-    /// exactly what CI should keep fuzzing. Set true only to reproduce the
-    /// historical quarantined campaigns.
-    bool exclusive_traffic_and_member_faults{false};
 };
 
 struct ExploreConfig {

@@ -20,25 +20,18 @@ std::string fmt_double(double v) {
     return buf;
 }
 
-const char* service_name(newtop::ServiceType service) {
-    switch (service) {
-        case newtop::ServiceType::kSymmetricTotalOrder: return "symmetric";
-        case newtop::ServiceType::kAsymmetricTotalOrder: return "asymmetric";
-        case newtop::ServiceType::kCausalOrder: return "causal";
-        case newtop::ServiceType::kReliableMulticast: return "reliable";
-        case newtop::ServiceType::kUnreliableMulticast: return "unreliable";
-    }
-    return "?";
-}
-
 bool service_from(const std::string& name, newtop::ServiceType& out) {
-    if (name == "symmetric") out = newtop::ServiceType::kSymmetricTotalOrder;
-    else if (name == "asymmetric") out = newtop::ServiceType::kAsymmetricTotalOrder;
-    else if (name == "causal") out = newtop::ServiceType::kCausalOrder;
-    else if (name == "reliable") out = newtop::ServiceType::kReliableMulticast;
-    else if (name == "unreliable") out = newtop::ServiceType::kUnreliableMulticast;
-    else return false;
-    return true;
+    using newtop::ServiceType;
+    for (const ServiceType service :
+         {ServiceType::kSymmetricTotalOrder, ServiceType::kAsymmetricTotalOrder,
+          ServiceType::kCausalOrder, ServiceType::kReliableMulticast,
+          ServiceType::kUnreliableMulticast}) {
+        if (name == newtop::name_of(service)) {
+            out = service;
+            return true;
+        }
+    }
+    return false;
 }
 
 bool system_from(const std::string& name, scenario::SystemKind& out) {
@@ -378,7 +371,7 @@ std::string to_spec(const Scenario& s, const std::string& expect_violation) {
     out += "msgs_per_member = " + std::to_string(s.workload.msgs_per_member) + "\n";
     out += "payload_size = " + std::to_string(s.workload.payload_size) + "\n";
     out += "send_interval_us = " + std::to_string(s.workload.send_interval) + "\n";
-    out += std::string("service = ") + service_name(s.workload.service) + "\n";
+    out += std::string("service = ") + newtop::name_of(s.workload.service) + "\n";
     out += "batch_max_requests = " + std::to_string(s.batch.max_requests) + "\n";
     out += "batch_max_bytes = " + std::to_string(s.batch.max_bytes) + "\n";
     out += "batch_flush_after_us = " + std::to_string(s.batch.flush_after) + "\n";

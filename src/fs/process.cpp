@@ -14,7 +14,7 @@ FsProcessHandles FsHost::create_process(const std::string& name, NodeId leader_n
     const Endpoint follower_pair_ep{follower_node, PortId{next_pair_port_++}};
 
     // Assumption A2: the pair's nodes share a synchronous link with bound δ.
-    rt_.net.set_lan_pair(leader_node, follower_node, config.delta);
+    rt_.net.faults().set_lan_pair(leader_node, follower_node, config.delta);
 
     auto leader = std::make_unique<Fso>(rt_, name, FsoRole::kLeader, leader_orb, leader_pair_ep,
                                         factory(), config);

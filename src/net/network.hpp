@@ -5,16 +5,11 @@
 //    delivering within a known bound δ (assumption A2), and
 //  * a reliable *asynchronous* network between FS processes, with no known
 //    bound on message delays.
-// `SimNetwork` models both, plus the fault injection the experiments need.
-//
-// The transport API itself lives in net/transport.hpp: `net::Transport`
-// (delivery) and `net::FaultInjector` (fault hooks). SimNetwork implements
-// both over one discrete-event Simulation, behavior-identical to the
-// pre-split monolithic `net::Network` class.
+// `SimNetwork` models the delays of both over one discrete-event
+// Simulation; which messages a fault drops or slows is decided by the
+// Transport's FaultInjector (net/transport.hpp), as on the TCP backend.
 #pragma once
 
-#include <memory>
-#include <set>
 #include <unordered_map>
 
 #include "common/bytes.hpp"
@@ -39,9 +34,10 @@ struct AsyncLinkParams {
 /// Deterministic simulated network over a Simulation event queue.
 ///
 /// Channels are reliable and FIFO per (src-node, dst-node) pair unless fault
-/// injection says otherwise. LAN pairs registered with `set_lan_pair` get
-/// delay <= δ; all other traffic uses the asynchronous delay model.
-class SimNetwork final : public Transport, public FaultInjector {
+/// injection says otherwise. LAN pairs registered with
+/// `faults().set_lan_pair` get delay <= δ; all other traffic uses the
+/// asynchronous delay model.
+class SimNetwork final : public Transport {
 public:
     SimNetwork(sim::Simulation& sim, Rng rng, AsyncLinkParams params = {});
 
@@ -49,79 +45,28 @@ public:
     void unbind(Endpoint endpoint) override;
     void send(Endpoint src, Endpoint dst, Payload payload) override;
 
-    /// Declares nodes a and b connected by a synchronous link with bound δ.
-    void set_lan_pair(NodeId a, NodeId b, Duration delta) override;
-
-    // --- fault injection (net::FaultInjector) ---------------------------
-    void block(NodeId a, NodeId b) override;
-    void unblock(NodeId a, NodeId b) override;
-    void partition(const std::vector<std::set<NodeId>>& groups) override;
-    void heal_partition() override;
-    void delay_surge(Duration extra, TimePoint until) override;
-    void set_corruptor(Corruptor corruptor) override;
-    void set_drop_probability(double p) override;
-
-    // --- statistics ------------------------------------------------------
-    [[nodiscard]] std::uint64_t messages_sent() const override { return messages_sent_; }
-    [[nodiscard]] std::uint64_t messages_delivered() const override {
-        return messages_delivered_;
-    }
-    [[nodiscard]] std::uint64_t messages_dropped() const override { return messages_dropped_; }
-    [[nodiscard]] std::uint64_t bytes_sent() const override { return bytes_sent_; }
-    /// Copy counters of the zero-copy plane. `bytes_sent()` counts *logical*
-    /// wire bytes; `payload_bytes_copied()` counts the bytes that were
+    /// Copy counters of the zero-copy plane. `bytes_sent` counts *logical*
+    /// wire bytes; `payload_bytes_copied` counts the bytes that were
     /// actually materialized to carry them — per-target header bytes plus
     /// each distinct body buffer once. A multicast of one B-byte body to n
     /// receivers therefore adds n*B to bytes_sent but only B + n*header to
     /// payload_bytes_copied (O(1) body encodes, the acceptance criterion).
-    [[nodiscard]] std::uint64_t payload_bytes_copied() const override {
-        return payload_bytes_copied_;
-    }
-    /// Distinct body buffers that entered the plane (== payload encodes).
-    [[nodiscard]] std::uint64_t payload_bodies_encoded() const override {
-        return payload_bodies_encoded_;
-    }
+    [[nodiscard]] TrafficStats stats() const override { return stats_; }
     void reset_stats() override;
 
 private:
-    struct NodePair {
-        NodeId a, b;
-        bool operator==(const NodePair&) const = default;
-    };
-    struct NodePairHash {
-        std::size_t operator()(const NodePair& p) const {
-            return (static_cast<std::size_t>(p.a.value) << 32) ^ p.b.value;
-        }
-    };
-    static NodePair ordered(NodeId x, NodeId y) {
-        return x.value <= y.value ? NodePair{x, y} : NodePair{y, x};
-    }
-
-    [[nodiscard]] bool is_blocked(NodeId a, NodeId b) const;
-    [[nodiscard]] Duration delay_for(NodeId a, NodeId b, std::size_t size);
+    [[nodiscard]] Duration delay_for(NodeId a, NodeId b, const Route& route, std::size_t size);
 
     sim::Simulation& sim_;
     Rng rng_;
     AsyncLinkParams params_;
 
     std::unordered_map<Endpoint, MessageHandler> handlers_;
-    std::unordered_map<NodePair, Duration, NodePairHash> lan_pairs_;
-    std::set<std::pair<std::uint32_t, std::uint32_t>> blocked_;
-    std::vector<std::set<NodeId>> partition_groups_;
-    Duration surge_extra_{0};
-    TimePoint surge_until_{0};
-    Corruptor corruptor_;
-    double drop_probability_{0.0};
 
     // FIFO enforcement: last scheduled delivery per directed node pair.
     std::unordered_map<std::uint64_t, TimePoint> last_delivery_;
 
-    std::uint64_t messages_sent_{0};
-    std::uint64_t messages_delivered_{0};
-    std::uint64_t messages_dropped_{0};
-    std::uint64_t bytes_sent_{0};
-    std::uint64_t payload_bytes_copied_{0};
-    std::uint64_t payload_bodies_encoded_{0};
+    TrafficStats stats_;
     /// Marks the bodies counted since the last reset_stats(), so a shared
     /// body counts once even when two senders' fan-out tasks interleave
     /// their sends.

@@ -2,9 +2,9 @@
 //
 // Default-constructed (all fields null) a stack owns its whole world: one
 // Simulation every node shares and one SimNetwork built from its options —
-// the historical, byte-identical simulator path. The TCP backend fills all
-// three fields instead: frames go through its TcpTransport, faults are
-// injected at its reactor, and every node schedules on its own executor
+// the historical, byte-identical simulator path. The TCP backend fills both
+// fields instead: frames (and the fault model every Transport owns) go
+// through its TcpTransport, and every node schedules on its own executor
 // thread's private event loop.
 #pragma once
 
@@ -21,8 +21,6 @@ namespace failsig::net {
 struct RuntimeEnv {
     /// Message plane (null = the stack builds its own SimNetwork).
     Transport* transport{nullptr};
-    /// Fault-injection plane; must be set whenever `transport` is.
-    FaultInjector* faults{nullptr};
     /// Event loop per node (null = one shared stack-owned Simulation). Must
     /// return the same Simulation for the same node, for the stack's
     /// lifetime.

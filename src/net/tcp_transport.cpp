@@ -22,10 +22,6 @@ std::uint64_t pair_key(NodeId src, NodeId dst) {
     return (static_cast<std::uint64_t>(src.value) << 32) | dst.value;
 }
 
-std::pair<std::uint32_t, std::uint32_t> ordered_pair(NodeId a, NodeId b) {
-    return a.value <= b.value ? std::pair{a.value, b.value} : std::pair{b.value, a.value};
-}
-
 [[noreturn]] void sys_fail(const char* what) {
     throw std::runtime_error(std::string("tcp-transport: ") + what + ": " +
                              std::strerror(errno));
@@ -88,13 +84,6 @@ void TcpTransport::unbind(Endpoint endpoint) {
     handlers_.erase(endpoint);
 }
 
-void TcpTransport::set_lan_pair(NodeId a, NodeId b, Duration /*delta*/) {
-    // The bound δ is a simulator concept; on real sockets the hint only
-    // marks the pair as a point-to-point cable (exempt from partitions).
-    std::lock_guard lk(fault_mu_);
-    lan_pairs_.insert(ordered_pair(a, b));
-}
-
 void TcpTransport::start() {
     std::lock_guard lk(topo_mu_);
     if (started_) return;
@@ -154,79 +143,21 @@ void TcpTransport::restore(NodeId node) {
     dead_nodes_.erase(node.value);
 }
 
-// --- fault injection -----------------------------------------------------
-
-void TcpTransport::block(NodeId a, NodeId b) {
+bool TcpTransport::isolated(NodeId a, NodeId b) const {
     std::lock_guard lk(fault_mu_);
-    blocked_.insert(ordered_pair(a, b));
-}
-
-void TcpTransport::unblock(NodeId a, NodeId b) {
-    std::lock_guard lk(fault_mu_);
-    blocked_.erase(ordered_pair(a, b));
-}
-
-void TcpTransport::partition(const std::vector<std::set<NodeId>>& groups) {
-    std::lock_guard lk(fault_mu_);
-    partition_groups_ = groups;
-}
-
-void TcpTransport::heal_partition() {
-    std::lock_guard lk(fault_mu_);
-    partition_groups_.clear();
-}
-
-void TcpTransport::delay_surge(Duration extra, TimePoint until) {
-    std::lock_guard lk(fault_mu_);
-    surge_extra_ = extra;
-    surge_until_ = until;
-}
-
-void TcpTransport::set_corruptor(Corruptor corruptor) {
-    std::lock_guard lk(fault_mu_);
-    corruptor_ = std::move(corruptor);
-}
-
-void TcpTransport::set_drop_probability(double p) {
-    std::lock_guard lk(fault_mu_);
-    drop_probability_ = p;
+    return dead_nodes_.contains(a.value) || dead_nodes_.contains(b.value);
 }
 
 // --- statistics ----------------------------------------------------------
 
-std::uint64_t TcpTransport::messages_sent() const {
+TrafficStats TcpTransport::stats() const {
     std::lock_guard lk(stats_mu_);
-    return messages_sent_;
-}
-std::uint64_t TcpTransport::messages_delivered() const {
-    std::lock_guard lk(stats_mu_);
-    return messages_delivered_;
-}
-std::uint64_t TcpTransport::messages_dropped() const {
-    std::lock_guard lk(stats_mu_);
-    return messages_dropped_;
-}
-std::uint64_t TcpTransport::bytes_sent() const {
-    std::lock_guard lk(stats_mu_);
-    return bytes_sent_;
-}
-std::uint64_t TcpTransport::payload_bytes_copied() const {
-    std::lock_guard lk(stats_mu_);
-    return payload_bytes_copied_;
-}
-std::uint64_t TcpTransport::payload_bodies_encoded() const {
-    std::lock_guard lk(stats_mu_);
-    return payload_bodies_encoded_;
+    return stats_;
 }
 
 void TcpTransport::reset_stats() {
     std::lock_guard lk(stats_mu_);
-    messages_sent_ = 0;
-    messages_delivered_ = 0;
-    messages_dropped_ = 0;
-    bytes_sent_ = 0;
-    payload_bytes_copied_ = 0;
-    payload_bodies_encoded_ = 0;
+    stats_ = {};
     count_token_ = Payload::fresh_count_token();
 }
 
@@ -284,44 +215,25 @@ void TcpTransport::write_frame(int fd, const Bytes& frame) {
 void TcpTransport::send(Endpoint src, Endpoint dst, Payload payload) {
     {
         std::lock_guard lk(stats_mu_);
-        ++messages_sent_;
-        bytes_sent_ += payload.size();
+        ++stats_.messages_sent;
+        stats_.bytes_sent += payload.size();
         // The socket path flattens every payload into its frame, so unlike
         // the simulator the copied bytes equal the logical bytes; bodies
         // are still counted once so encode amortization stays visible.
-        payload_bytes_copied_ += payload.size();
+        stats_.payload_bytes_copied += payload.size();
         if (payload.count_body(count_token_)) {
-            ++payload_bodies_encoded_;
+            ++stats_.payload_bodies_encoded;
         }
     }
-    if (closed_.load()) {
+    // Frames to or from a torn-down node never reach the socket.
+    if (closed_.load() || isolated(src.node, dst.node)) {
         std::lock_guard lk(stats_mu_);
-        ++messages_dropped_;
+        ++stats_.messages_dropped;
         return;
     }
-    {
-        // Sender-side checks that never reach the reactor: dead endpoints.
-        std::lock_guard lk(fault_mu_);
-        if (dead_nodes_.contains(src.node.value) || dead_nodes_.contains(dst.node.value)) {
-            std::lock_guard sk(stats_mu_);
-            ++messages_dropped_;
-            return;
-        }
-    }
-
     if (src.node == dst.node) {
-        // In-process upcall: no socket, no random drop (see SimNetwork's
-        // loopback rule), but the corruptor still sees it.
-        Message msg{src, dst, std::move(payload)};
-        {
-            std::lock_guard lk(fault_mu_);
-            if (corruptor_ && !corruptor_(msg)) {
-                std::lock_guard sk(stats_mu_);
-                ++messages_dropped_;
-                return;
-            }
-        }
-        deliver(std::move(msg), /*count_wire_settle=*/false);
+        // In-process upcall: no socket.
+        deliver(Message{src, dst, std::move(payload)}, /*from_wire=*/false);
         return;
     }
 
@@ -339,7 +251,7 @@ void TcpTransport::send(Endpoint src, Endpoint dst, Payload payload) {
         if (conn->fd < 0) conn->fd = connect_with_backoff(dst.node);
         if (conn->fd < 0) {
             std::lock_guard sk(stats_mu_);
-            ++messages_dropped_;
+            ++stats_.messages_dropped;
             if (hooks_.on_settled) hooks_.on_settled();
             return;
         }
@@ -419,7 +331,10 @@ void TcpTransport::reactor_loop() {
                 dead = true;  // orderly EOF or hard error
                 break;
             }
-            while (auto frame = reader.next()) handle_frame(std::move(*frame));
+            while (auto frame = reader.next()) {
+                deliver(Message{frame->src, frame->dst, Payload{std::move(frame->payload)}},
+                        /*from_wire=*/true);
+            }
             if (reader.failed()) {
                 FAILSIG_LOG(LogLevel::kWarn, NET)
                     << "tcp reactor: poisoned stream (" << reader.error()
@@ -435,78 +350,40 @@ void TcpTransport::reactor_loop() {
     }
 }
 
-bool TcpTransport::admit(Message& msg) {
-    std::lock_guard lk(fault_mu_);
-    const NodeId a = msg.src.node;
-    const NodeId b = msg.dst.node;
-    if (dead_nodes_.contains(a.value) || dead_nodes_.contains(b.value)) return false;
-    const auto pair = ordered_pair(a, b);
-    if (blocked_.contains(pair)) return false;
-    const bool is_lan = lan_pairs_.contains(pair);
-    if (!partition_groups_.empty() && !is_lan) {
-        for (const auto& group : partition_groups_) {
-            const bool has_a = group.contains(a);
-            const bool has_b = group.contains(b);
-            if (has_a && has_b) break;
-            if (has_a != has_b) {
-                for (const auto& other : partition_groups_) {
-                    if (&other == &group) continue;
-                    if (other.contains(has_a ? b : a)) return false;
-                }
-            }
-        }
-    }
-    if (!is_lan && drop_probability_ > 0.0 && rng_.chance(drop_probability_)) return false;
-    if (corruptor_ && !corruptor_(msg)) return false;
-    return true;
-}
-
-void TcpTransport::deliver(Message msg, bool count_wire_settle) {
+void TcpTransport::deliver(Message msg, bool from_wire) {
+    // Surges need virtual time and a timed post; without both they degrade
+    // to immediate delivery.
+    const bool timed = hooks_.now && hooks_.post_at;
+    const TimePoint now = timed ? hooks_.now() : 0;
+    const std::optional<Route> route = isolated(msg.src.node, msg.dst.node)
+                                           ? std::nullopt
+                                           : faults().admit(msg, rng_, now);
     MessageHandler handler;
-    {
+    if (route) {
         std::lock_guard lk(topo_mu_);
         const auto it = handlers_.find(msg.dst);
         if (it != handlers_.end()) handler = it->second;
     }
     if (!handler) {
         std::lock_guard lk(stats_mu_);
-        ++messages_dropped_;
-        if (count_wire_settle && hooks_.on_settled) hooks_.on_settled();
+        ++stats_.messages_dropped;
+        if (from_wire && hooks_.on_settled) hooks_.on_settled();
         return;
     }
     const NodeId dst_node = msg.dst.node;
     auto task = [this, handler = std::move(handler), msg = std::move(msg)]() mutable {
         {
             std::lock_guard lk(stats_mu_);
-            ++messages_delivered_;
+            ++stats_.messages_delivered;
         }
         handler(msg);
     };
-
-    Duration surge = 0;
-    TimePoint now = 0;
-    if (hooks_.now && hooks_.post_at) {
-        std::lock_guard lk(fault_mu_);
-        now = hooks_.now();
-        if (now < surge_until_) surge = surge_extra_;
-    }
-    if (surge > 0) {
-        hooks_.post_at(dst_node, now + surge, std::move(task));
+    if (timed && route->surge > 0) {
+        hooks_.post_at(dst_node, now + route->surge, std::move(task));
     } else {
         hooks_.post(dst_node, std::move(task));
     }
-    if (count_wire_settle && hooks_.on_settled) hooks_.on_settled();
-}
-
-void TcpTransport::handle_frame(Frame frame) {
-    Message msg{frame.src, frame.dst, Payload{std::move(frame.payload)}};
-    if (!admit(msg)) {
-        std::lock_guard lk(stats_mu_);
-        ++messages_dropped_;
-        if (hooks_.on_settled) hooks_.on_settled();
-        return;
-    }
-    deliver(std::move(msg), /*count_wire_settle=*/true);
+    if (from_wire && hooks_.on_settled) hooks_.on_settled();
 }
 
 }  // namespace failsig::net

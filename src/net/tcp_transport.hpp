@@ -9,18 +9,21 @@
 //    number of deployments run concurrently (ctest -j) without colliding;
 //  * one *reactor* thread running epoll over every listener and accepted
 //    connection: it reads byte streams, reassembles length-prefixed frames
-//    (net/frame.hpp), applies fault injection (partition/block/drop are
-//    frame-dropping *at the reactor*, exactly where a firewall would sit),
-//    and posts the bound handler's invocation onto the destination node's
-//    executor via the host hooks;
+//    (net/frame.hpp), passes each frame through the Transport's fault model
+//    (net/transport.hpp: block/partition/drop are frame-dropping *at the
+//    reactor*, exactly where a firewall would sit, and a surge delays async
+//    frames only), and posts the bound handler's invocation onto the
+//    destination node's executor via the host hooks;
 //  * lazy per-directed-pair connections on first send, with bounded
 //    backoff-retry, established from the sending node's executor thread —
-//    TCP's stream order then gives the same per-link FIFO the simulator
-//    guarantees;
+//    TCP's stream order then keeps each link FIFO outside a delay surge. A
+//    surged frame is posted at now + extra with no per-link clamp, so a
+//    frame admitted just after a surge ends can overtake one admitted just
+//    before (the simulator clamps);
 //  * same-node traffic short-circuits the socket layer: a replica handing
 //    a committed request to its own application sink is an in-process
-//    upcall, as reliable as on the simulator (and exempt from random drop
-//    for the same holdback-wedging reason — see SimNetwork).
+//    upcall, exempt from partitions, random drop and surges as on the
+//    simulator.
 //
 // The transport knows nothing about virtual time or executors: the hosting
 // deployment injects `Hooks` (post a task to a node's loop, in-flight
@@ -29,14 +32,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "net/endpoint_map.hpp"
@@ -45,7 +45,7 @@
 
 namespace failsig::net {
 
-class TcpTransport final : public Transport, public FaultInjector {
+class TcpTransport final : public Transport {
 public:
     struct Hooks {
         /// Posts a delivery task onto `node`'s executor. Must mark the
@@ -81,24 +81,11 @@ public:
     void send(Endpoint src, Endpoint dst, Payload payload) override;
     void connect(NodeId src, NodeId dst) override;
     void close() override;
-    void set_lan_pair(NodeId a, NodeId b, Duration delta) override;
 
-    [[nodiscard]] std::uint64_t messages_sent() const override;
-    [[nodiscard]] std::uint64_t messages_delivered() const override;
-    [[nodiscard]] std::uint64_t messages_dropped() const override;
-    [[nodiscard]] std::uint64_t bytes_sent() const override;
-    [[nodiscard]] std::uint64_t payload_bytes_copied() const override;
-    [[nodiscard]] std::uint64_t payload_bodies_encoded() const override;
+    /// Same counters as SimNetwork, except that sockets flatten every
+    /// payload into its frame: copied bytes equal logical bytes.
+    [[nodiscard]] TrafficStats stats() const override;
     void reset_stats() override;
-
-    // --- net::FaultInjector (frame-dropping at the reactor) --------------
-    void block(NodeId a, NodeId b) override;
-    void unblock(NodeId a, NodeId b) override;
-    void partition(const std::vector<std::set<NodeId>>& groups) override;
-    void heal_partition() override;
-    void delay_surge(Duration extra, TimePoint until) override;
-    void set_corruptor(Corruptor corruptor) override;
-    void set_drop_probability(double p) override;
 
     // --- host integration ------------------------------------------------
     /// Starts the reactor thread (listeners must all exist). Idempotent.
@@ -120,26 +107,20 @@ private:
     [[nodiscard]] int connect_with_backoff(NodeId dst);
     void write_frame(int fd, const Bytes& frame);
     void reactor_loop();
-    void handle_frame(Frame frame);
-    /// Fault verdict for a frame arriving at the reactor; also applies the
-    /// corruptor. Returns false to drop.
-    bool admit(Message& msg);
-    void deliver(Message msg, bool count_wire_settle);
+    [[nodiscard]] bool isolated(NodeId a, NodeId b) const;
+    /// Fault verdict for a socket frame at the reactor (`from_wire`) or a
+    /// same-node message at send, then the post onto dst's executor.
+    void deliver(Message msg, bool from_wire);
 
     Hooks hooks_;
 
-    // Fault state + rng: touched from the reactor and from driver-side
-    // fault calls.
-    mutable std::mutex fault_mu_;
+    /// Random-drop draws; used only inside faults().admit(), which holds
+    /// the fault model's lock.
     Rng rng_;
-    std::set<std::pair<std::uint32_t, std::uint32_t>> blocked_;
-    std::vector<std::set<NodeId>> partition_groups_;
-    std::set<std::pair<std::uint32_t, std::uint32_t>> lan_pairs_;
+    // Crash teardown: touched from the reactor, from senders and from
+    // driver-side crash/recover calls.
+    mutable std::mutex fault_mu_;
     std::unordered_set<std::uint32_t> dead_nodes_;
-    Duration surge_extra_{0};
-    TimePoint surge_until_{0};
-    Corruptor corruptor_;
-    double drop_probability_{0.0};
 
     // Endpoint directory + handlers: built single-threaded, read from the
     // reactor and sender threads afterwards.
@@ -152,14 +133,8 @@ private:
     std::mutex conn_mu_;
     std::unordered_map<std::uint64_t, std::shared_ptr<Conn>> conns_;
 
-    // Statistics (same accounting rules as SimNetwork).
     mutable std::mutex stats_mu_;
-    std::uint64_t messages_sent_{0};
-    std::uint64_t messages_delivered_{0};
-    std::uint64_t messages_dropped_{0};
-    std::uint64_t bytes_sent_{0};
-    std::uint64_t payload_bytes_copied_{0};
-    std::uint64_t payload_bodies_encoded_{0};
+    TrafficStats stats_;
     std::uint64_t count_token_{Payload::fresh_count_token()};
 
     // Reactor.

@@ -1,29 +1,31 @@
-// The transport seam: what a protocol stack needs from a network, split
-// into two narrow interfaces.
+// The transport seam: what a protocol stack needs from a network.
 //
 //  * `Transport`     — asynchronous datagram delivery between opaque
 //                      `Endpoint`s with receive upcalls, an explicit
 //                      connection lifecycle (connect / graceful close), and
 //                      delivery statistics. This is everything the ORB, the
 //                      FS pairs and the protocol out-queues call.
-//  * `FaultInjector` — the drop / partition / delay hooks the scenario
-//                      engine and the fault campaigns call. It was always
-//                      implicitly part of SimNetwork's contract; naming it
-//                      separately lets a real backend implement faults as
-//                      frame-dropping at its reactor without pretending to
-//                      be a simulator.
+//  * `FaultInjector` — the link fault model every Transport owns: which node
+//                      pairs share a synchronous LAN link, blocks,
+//                      partitions, delay surges, random drop and the
+//                      corruptor. It decides each message in one call, so
+//                      every backend applies the same rule to which links a
+//                      fault touches.
 //
-// `SimNetwork` (net/network.hpp) implements both over a discrete-event
-// Simulation, behavior-identical to the pre-split `net::Network`.
-// `TcpTransport` (net/tcp_transport.hpp) implements both over real sockets.
+// `SimNetwork` (net/network.hpp) delivers over a discrete-event Simulation;
+// `TcpTransport` (net/tcp_transport.hpp) over real sockets.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <mutex>
+#include <optional>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/payload.hpp"
+#include "common/rng.hpp"
 #include "common/types.hpp"
 
 namespace failsig::net {
@@ -38,6 +40,84 @@ struct Message {
 };
 
 using MessageHandler = std::function<void(const Message&)>;
+
+/// Mutates or drops messages in flight; returns false to drop.
+using Corruptor = std::function<bool(Message&)>;
+
+/// How a message the fault model admitted travels.
+struct Route {
+    /// The synchronous link's bound δ when src and dst are a LAN pair.
+    std::optional<Duration> lan_bound;
+    /// Extra delay of an active surge; 0 on LAN pairs and same-node traffic.
+    Duration surge{0};
+};
+
+/// The link fault model. Thread-safe: one mutex guards all of its state, so
+/// a scenario driver, a reactor and node executors may share one instance.
+/// Every call takes effect on messages admitted after it; none retracts a
+/// message already in flight.
+///
+/// LAN pairs and same-node traffic are exempt from partitions, random drop
+/// and surges. A LAN pair is the point-to-point cable between an FS pair's
+/// two nodes, whose bound δ (assumption A2) no fault on the async network
+/// may break. Same-node traffic is an in-process upcall (a replica handing
+/// a committed request to its own application sink): a dropped local
+/// delivery would park every later upcall in a seq-holdback forever while
+/// the truncated stream still looked like a valid prefix to the agreement
+/// checker.
+class FaultInjector {
+public:
+    /// Declares nodes a and b connected by a synchronous link with bound δ.
+    void set_lan_pair(NodeId a, NodeId b, Duration delta);
+    /// Drops every message between the two nodes (both directions).
+    void block(NodeId a, NodeId b);
+    void unblock(NodeId a, NodeId b);
+    /// Splits nodes into groups; traffic across groups is dropped until
+    /// heal_partition().
+    void partition(const std::vector<std::set<NodeId>>& groups);
+    void heal_partition();
+    /// Adds `extra` delay to all async traffic until time `until` (used to
+    /// provoke false suspicions in timeout-based suspectors).
+    void delay_surge(Duration extra, TimePoint until);
+    /// Installs a payload corruptor. It sees every message, LAN and
+    /// same-node ones included, and is called with the fault lock held.
+    void set_corruptor(Corruptor corruptor);
+    /// Random drop probability on async links.
+    void set_drop_probability(double p);
+
+    /// Decides one message sent at `now`: nullopt drops it, otherwise it
+    /// travels by the returned route. Applies block, partition, random drop
+    /// (one draw from `rng`, async links only) and the corruptor, in that
+    /// order.
+    [[nodiscard]] std::optional<Route> admit(Message& msg, Rng& rng, TimePoint now);
+
+private:
+    [[nodiscard]] bool partitioned(NodeId a, NodeId b) const;
+
+    std::mutex mu_;
+    // Keyed by the unordered node pair.
+    std::unordered_map<std::uint64_t, Duration> lan_pairs_;
+    std::set<std::uint64_t> blocked_;
+    std::vector<std::set<NodeId>> partition_groups_;
+    Duration surge_extra_{0};
+    TimePoint surge_until_{0};
+    Corruptor corruptor_;
+    double drop_probability_{0.0};
+};
+
+/// Counters of the logical message plane, shared by the report pipeline
+/// across backends.
+struct TrafficStats {
+    std::uint64_t messages_sent{0};
+    std::uint64_t messages_delivered{0};
+    std::uint64_t messages_dropped{0};
+    std::uint64_t bytes_sent{0};
+    /// Bytes actually materialized to carry the logical wire bytes (see
+    /// SimNetwork for the zero-copy accounting rules).
+    std::uint64_t payload_bytes_copied{0};
+    /// Distinct body buffers that entered the plane (== payload encodes).
+    std::uint64_t payload_bodies_encoded{0};
+};
 
 /// Abstract asynchronous message transport.
 ///
@@ -68,51 +148,25 @@ public:
     /// sends are dropped (counted). Default: no-op.
     virtual void close() {}
 
-    /// Topology hint: nodes a and b share a synchronous link with bound δ.
-    /// The simulator models the bound; a real backend may use it only to
-    /// exempt the pair from partitions (the cable is point-to-point).
-    virtual void set_lan_pair(NodeId /*a*/, NodeId /*b*/, Duration /*delta*/) {}
+    /// The fault model every message sent through this transport passes.
+    [[nodiscard]] FaultInjector& faults() { return faults_; }
 
     // --- statistics ------------------------------------------------------
-    // Counters of the logical message plane, shared by the report pipeline
-    // across backends. A backend that cannot measure one returns 0.
-    [[nodiscard]] virtual std::uint64_t messages_sent() const { return 0; }
-    [[nodiscard]] virtual std::uint64_t messages_delivered() const { return 0; }
-    [[nodiscard]] virtual std::uint64_t messages_dropped() const { return 0; }
-    [[nodiscard]] virtual std::uint64_t bytes_sent() const { return 0; }
-    /// Bytes actually materialized to carry the logical wire bytes (see
-    /// SimNetwork for the zero-copy accounting rules).
-    [[nodiscard]] virtual std::uint64_t payload_bytes_copied() const { return 0; }
-    /// Distinct body buffers that entered the plane (== payload encodes).
-    [[nodiscard]] virtual std::uint64_t payload_bodies_encoded() const { return 0; }
-    virtual void reset_stats() {}
-};
+    [[nodiscard]] virtual TrafficStats stats() const = 0;
+    virtual void reset_stats() = 0;
+    [[nodiscard]] std::uint64_t messages_sent() const { return stats().messages_sent; }
+    [[nodiscard]] std::uint64_t messages_delivered() const { return stats().messages_delivered; }
+    [[nodiscard]] std::uint64_t messages_dropped() const { return stats().messages_dropped; }
+    [[nodiscard]] std::uint64_t bytes_sent() const { return stats().bytes_sent; }
+    [[nodiscard]] std::uint64_t payload_bytes_copied() const {
+        return stats().payload_bytes_copied;
+    }
+    [[nodiscard]] std::uint64_t payload_bodies_encoded() const {
+        return stats().payload_bodies_encoded;
+    }
 
-/// Mutates or drops messages in flight; returns false to drop.
-using Corruptor = std::function<bool(Message&)>;
-
-/// Fault-injection hooks over a transport. All methods take effect on
-/// messages sent (or, for a real backend, received at the reactor) after
-/// the call; they never retract messages already in flight.
-class FaultInjector {
-public:
-    virtual ~FaultInjector() = default;
-
-    /// Drops every message between the two nodes (both directions).
-    virtual void block(NodeId a, NodeId b) = 0;
-    virtual void unblock(NodeId a, NodeId b) = 0;
-    /// Splits nodes into groups; traffic across groups is dropped until
-    /// heal_partition(). LAN pairs are not affected (they are point-to-point
-    /// cables in the deployment).
-    virtual void partition(const std::vector<std::set<NodeId>>& groups) = 0;
-    virtual void heal_partition() = 0;
-    /// Adds `extra` delay to all async traffic until time `until` (used to
-    /// provoke false suspicions in timeout-based suspectors).
-    virtual void delay_surge(Duration extra, TimePoint until) = 0;
-    /// Installs a payload corruptor (return false to drop the message).
-    virtual void set_corruptor(Corruptor corruptor) = 0;
-    /// Random drop probability on async links (LAN pairs stay reliable).
-    virtual void set_drop_probability(double p) = 0;
+private:
+    FaultInjector faults_;
 };
 
 }  // namespace failsig::net

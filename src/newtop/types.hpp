@@ -20,6 +20,18 @@ enum class ServiceType : std::uint8_t {
     kUnreliableMulticast = 5,   ///< best effort
 };
 
+/// The service class's name in reports and reproducer specs.
+inline const char* name_of(ServiceType service) {
+    switch (service) {
+        case ServiceType::kSymmetricTotalOrder: return "symmetric";
+        case ServiceType::kAsymmetricTotalOrder: return "asymmetric";
+        case ServiceType::kCausalOrder: return "causal";
+        case ServiceType::kReliableMulticast: return "reliable";
+        case ServiceType::kUnreliableMulticast: return "unreliable";
+    }
+    return "?";
+}
+
 /// An installed membership view.
 struct GroupView {
     std::uint64_t view_id{0};

@@ -110,17 +110,6 @@ std::string JsonWriter::take() { return std::move(out_); }
 
 namespace {
 
-const char* service_name(newtop::ServiceType service) {
-    switch (service) {
-        case newtop::ServiceType::kSymmetricTotalOrder: return "symmetric";
-        case newtop::ServiceType::kAsymmetricTotalOrder: return "asymmetric";
-        case newtop::ServiceType::kCausalOrder: return "causal";
-        case newtop::ServiceType::kReliableMulticast: return "reliable";
-        case newtop::ServiceType::kUnreliableMulticast: return "unreliable";
-    }
-    return "?";
-}
-
 void write_report(JsonWriter& w, const ScenarioReport& report) {
     const Scenario& s = report.scenario;
     w.begin_object();
@@ -142,7 +131,7 @@ void write_report(JsonWriter& w, const ScenarioReport& report) {
     w.field("msgs_per_member", s.workload.msgs_per_member);
     w.field("payload_size", static_cast<std::uint64_t>(s.workload.payload_size));
     w.field("send_interval_us", static_cast<std::int64_t>(s.workload.send_interval));
-    w.field("service", service_name(s.workload.service));
+    w.field("service", newtop::name_of(s.workload.service));
     w.field("batch_max_requests", static_cast<std::uint64_t>(s.batch.max_requests));
     w.end_object();
 

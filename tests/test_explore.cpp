@@ -100,34 +100,12 @@ TEST(ExploreGeneration, EpisodesCarryASchedulePerturbationAndABoundedScript) {
     }
 }
 
-TEST(ExploreGeneration, ExclusiveOverlapKnobStillQuarantines) {
-    // FaultGrammar::exclusive_traffic_and_member_faults defaults to false
-    // since the view-synchronous flush landed, but the historical quarantine
-    // must stay reproducible: with the knob forced on, FS-NewTOP episodes
-    // may contain member faults or loads/bursts, never both.
-    ExploreConfig config = small_config();
-    config.grammar.max_fault_events = 5;
-    config.grammar.exclusive_traffic_and_member_faults = true;
-    for (int e = 0; e < 40; ++e) {
-        const Scenario s = generate_episode(config, SystemKind::kFsNewTop, 3, 1, e);
-        bool member_fault = false;
-        bool dense = false;
-        for (const auto& event : s.timeline) {
-            member_fault = member_fault || event.is_member_fault();
-            dense = dense || event.kind == ScenarioEvent::Kind::kLoad ||
-                    event.kind == ScenarioEvent::Kind::kBurst;
-        }
-        EXPECT_FALSE(member_fault && dense) << to_spec(s);
-    }
-}
-
 TEST(ExploreGeneration, DefaultGrammarDrawsMemberFaultsUnderDenseTraffic) {
-    // The overlap the quarantine used to forbid is the flush protocol's
-    // hardest axis; the default grammar must actually exercise it, or the
+    // Member faults under dense traffic are the flush protocol's hardest
+    // axis; the default grammar must actually exercise them, or the
     // clean-smoke gate stops meaning anything for view-synchrony.
     ExploreConfig config = small_config();
     config.grammar.max_fault_events = 5;
-    ASSERT_FALSE(config.grammar.exclusive_traffic_and_member_faults);
     bool overlapped = false;
     for (int e = 0; e < 80 && !overlapped; ++e) {
         const Scenario s = generate_episode(config, SystemKind::kFsNewTop, 3, 1, e);

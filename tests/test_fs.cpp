@@ -439,7 +439,7 @@ TEST(FsFaults, LanSeveranceTriggersFailSignals) {
     bool fail_signalled = false;
     client.on_fail_signal([&](const std::string&) { fail_signalled = true; });
 
-    w.net.block(NodeId{1}, NodeId{2});
+    w.net.faults().block(NodeId{1}, NodeId{2});
     client.send("p1", "apply", make_body(client.ref(), 1));
     w.sim.run_until(10 * kSecond);
     EXPECT_TRUE(fail_signalled);
@@ -561,7 +561,7 @@ TEST(FsAuth, CorruptedWireBytesIgnored) {
     // Corrupt every async network payload's first byte after the envelope
     // header region; valid traffic should be rejected, not misinterpreted.
     int corrupted = 0;
-    w.net.set_corruptor([&](net::Message& m) {
+    w.net.faults().set_corruptor([&](net::Message& m) {
         if (m.payload.size() > 30 && corrupted < 4) {
             auto& bytes = m.payload.mutable_bytes();
             bytes[bytes.size() / 2] ^= 0xff;

@@ -47,7 +47,7 @@ TEST(SimNetwork, LanPairRespectsDeltaBound) {
     // Assumption A2: the synchronous link delivers within a known bound δ.
     Fixture f;
     const Duration delta = 500;
-    f.net.set_lan_pair(NodeId{1}, NodeId{2}, delta);
+    f.net.faults().set_lan_pair(NodeId{1}, NodeId{2}, delta);
     int received = 0;
     TimePoint last_send = 0;
     f.net.bind(ep(2), [&](const Message&) {
@@ -79,12 +79,12 @@ TEST(SimNetwork, BlockDropsBothDirections) {
     int delivered = 0;
     f.net.bind(ep(1), [&](const Message&) { ++delivered; });
     f.net.bind(ep(2), [&](const Message&) { ++delivered; });
-    f.net.block(NodeId{1}, NodeId{2});
+    f.net.faults().block(NodeId{1}, NodeId{2});
     f.net.send(ep(1), ep(2), Bytes{});
     f.net.send(ep(2), ep(1), Bytes{});
     f.sim.run();
     EXPECT_EQ(delivered, 0);
-    f.net.unblock(NodeId{1}, NodeId{2});
+    f.net.faults().unblock(NodeId{1}, NodeId{2});
     f.net.send(ep(1), ep(2), Bytes{});
     f.sim.run();
     EXPECT_EQ(delivered, 1);
@@ -95,14 +95,14 @@ TEST(SimNetwork, PartitionCutsCrossGroupTraffic) {
     int delivered_cross = 0, delivered_within = 0;
     f.net.bind(ep(2), [&](const Message&) { ++delivered_within; });
     f.net.bind(ep(3), [&](const Message&) { ++delivered_cross; });
-    f.net.partition({{NodeId{1}, NodeId{2}}, {NodeId{3}}});
+    f.net.faults().partition({{NodeId{1}, NodeId{2}}, {NodeId{3}}});
     f.net.send(ep(1), ep(2), Bytes{});  // same group
     f.net.send(ep(1), ep(3), Bytes{});  // cross group
     f.sim.run();
     EXPECT_EQ(delivered_within, 1);
     EXPECT_EQ(delivered_cross, 0);
 
-    f.net.heal_partition();
+    f.net.faults().heal_partition();
     f.net.send(ep(1), ep(3), Bytes{});
     f.sim.run();
     EXPECT_EQ(delivered_cross, 1);
@@ -112,10 +112,10 @@ TEST(SimNetwork, LanPairsSurvivePartition) {
     // LAN pairs model dedicated cables between an FS pair's two nodes; a WAN
     // partition must not sever them.
     Fixture f;
-    f.net.set_lan_pair(NodeId{1}, NodeId{2}, 100);
+    f.net.faults().set_lan_pair(NodeId{1}, NodeId{2}, 100);
     int delivered = 0;
     f.net.bind(ep(2), [&](const Message&) { ++delivered; });
-    f.net.partition({{NodeId{1}}, {NodeId{2}}});
+    f.net.faults().partition({{NodeId{1}}, {NodeId{2}}});
     f.net.send(ep(1), ep(2), Bytes{});
     f.sim.run();
     EXPECT_EQ(delivered, 1);
@@ -125,7 +125,7 @@ TEST(SimNetwork, DropProbabilityDropsSome) {
     Fixture f;
     int delivered = 0;
     f.net.bind(ep(2), [&](const Message&) { ++delivered; });
-    f.net.set_drop_probability(0.5);
+    f.net.faults().set_drop_probability(0.5);
     for (int i = 0; i < 200; ++i) f.net.send(ep(1), ep(2), Bytes{});
     f.sim.run();
     EXPECT_GT(delivered, 50);
@@ -134,8 +134,8 @@ TEST(SimNetwork, DropProbabilityDropsSome) {
 
 TEST(SimNetwork, LanLinksNeverRandomlyDrop) {
     Fixture f;
-    f.net.set_lan_pair(NodeId{1}, NodeId{2}, 100);
-    f.net.set_drop_probability(1.0);
+    f.net.faults().set_lan_pair(NodeId{1}, NodeId{2}, 100);
+    f.net.faults().set_drop_probability(1.0);
     int delivered = 0;
     f.net.bind(ep(2), [&](const Message&) { ++delivered; });
     for (int i = 0; i < 20; ++i) {
@@ -152,7 +152,7 @@ TEST(SimNetwork, LoopbackNeverRandomlyDrops) {
     // re-sequencers while the truncated stream still looked like a valid
     // prefix).
     Fixture f;
-    f.net.set_drop_probability(1.0);
+    f.net.faults().set_drop_probability(1.0);
     int delivered = 0;
     f.net.bind(ep(1, 9), [&](const Message&) { ++delivered; });
     for (int i = 0; i < 20; ++i) {
@@ -166,7 +166,7 @@ TEST(SimNetwork, CorruptorCanMutatePayload) {
     Fixture f;
     Bytes got;
     f.net.bind(ep(2), [&](const Message& m) { got = m.payload.to_bytes(); });
-    f.net.set_corruptor([](Message& m) {
+    f.net.faults().set_corruptor([](Message& m) {
         if (!m.payload.empty()) m.payload.mutable_bytes()[0] ^= 0xff;
         return true;
     });
@@ -179,7 +179,7 @@ TEST(SimNetwork, CorruptorCanDrop) {
     Fixture f;
     int delivered = 0;
     f.net.bind(ep(2), [&](const Message&) { ++delivered; });
-    f.net.set_corruptor([](Message&) { return false; });
+    f.net.faults().set_corruptor([](Message&) { return false; });
     f.net.send(ep(1), ep(2), Bytes{});
     f.sim.run();
     EXPECT_EQ(delivered, 0);
@@ -200,7 +200,7 @@ TEST(SimNetwork, DelaySurgeSlowsAsyncTraffic) {
     f.sim.run();
     const TimePoint first_latency = normal_arrival;
 
-    f.net.delay_surge(1'000'000, f.sim.now() + 10'000'000);
+    f.net.faults().delay_surge(1'000'000, f.sim.now() + 10'000'000);
     const TimePoint sent_at = f.sim.now();
     f.net.send(ep(1), ep(2), Bytes{});
     f.sim.run();

@@ -5,12 +5,15 @@
 // exercise it: garbage streams, truncation at every offset, and hostile
 // length fields. Finally, the published ephemeral-port directory of real
 // TcpDeployments is checked — concurrent deployments must never collide —
-// and so are TcpTransport's copy counters over real sockets.
+// and so are TcpTransport's copy counters and delay-surge routing over real
+// sockets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -278,6 +281,59 @@ TEST(TcpTransport, FanOutOfOneBodyCountsOneEncodePerStatsEpoch) {
     EXPECT_EQ(wait_for(5), 5);
     EXPECT_EQ(transport.payload_bodies_encoded(), 1u);
     transport.close();
+}
+
+// ---------------------------------------------------------------------------
+// The fault model on real sockets
+// ---------------------------------------------------------------------------
+
+TEST(TcpTransport, DelaySurgeSlowsOnlyAsyncLinks) {
+    // A surge slows the async network only. An FS pair's synchronous link
+    // keeps its bound δ (assumption A2) and a same-node upcall stays
+    // immediate, as on the simulator: a surged pair link would make a
+    // healthy pair miss its own timeouts and fail-signal.
+    std::mutex mu;
+    std::map<std::uint32_t, std::string> route_of;  // destination node -> hook used
+    const auto record = [&](NodeId node, const char* hook, const std::function<void()>& task) {
+        {
+            const std::lock_guard lock(mu);
+            route_of[node.value] = hook;
+        }
+        task();
+    };
+    TcpTransport::Hooks hooks;
+    hooks.post = [&](NodeId node, std::function<void()> task) { record(node, "post", task); };
+    hooks.post_at = [&](NodeId node, TimePoint, std::function<void()> task) {
+        record(node, "post_at", task);
+    };
+    hooks.now = [] { return TimePoint{0}; };
+    TcpTransport transport(std::move(hooks), Rng(9));
+    const Endpoint src{NodeId{1}, PortId{0}};
+    const Endpoint same_node{NodeId{1}, PortId{1}};
+    const Endpoint lan_peer{NodeId{2}, PortId{0}};
+    const Endpoint async_peer{NodeId{3}, PortId{0}};
+    for (const Endpoint ep : {src, same_node, lan_peer, async_peer}) {
+        transport.bind(ep, [](const Message&) {});
+    }
+    transport.start();
+    transport.faults().set_lan_pair(src.node, lan_peer.node, 200 * kMicrosecond);
+    transport.faults().delay_surge(1 * kSecond, 10 * kSecond);
+
+    for (const Endpoint dst : {same_node, lan_peer, async_peer}) transport.send(src, dst, Bytes{1});
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    for (;;) {
+        {
+            const std::lock_guard lock(mu);
+            if (route_of.size() == 3 || std::chrono::steady_clock::now() > deadline) break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    transport.close();
+
+    const std::lock_guard lock(mu);
+    EXPECT_EQ(route_of[same_node.node.value], "post") << "same-node upcall";
+    EXPECT_EQ(route_of[lan_peer.node.value], "post") << "LAN pair link";
+    EXPECT_EQ(route_of[async_peer.node.value], "post_at") << "async link";
 }
 
 }  // namespace
