@@ -220,7 +220,7 @@ int main(int argc, char** argv) {
                 cli.backend == "tcp" ? ", backend tcp" : "");
 
     // --metrics-out turns observability on for every campaign. The report
-    // bytes are unaffected (obs artifacts live outside to_json/to_csv).
+    // bytes are unaffected (obs artifacts live outside to_json).
     const bool obs_enabled = !cli.metrics_out_path.empty();
     if (obs_enabled) {
         for (auto& entry : campaigns) entry.scenario.obs.enabled = true;

@@ -28,15 +28,90 @@ const char* name_of(Backend backend) {
     return "?";
 }
 
-const time::Clock& Deployment::clock() {
-    if (!default_clock_) default_clock_.emplace(sim());
-    return *default_clock_;
+Deployment::Deployment(const DeploymentSpec& spec)
+    : tcp_(spec.backend == Backend::kTcp ? std::make_unique<TcpRuntime>(sim_, spec.seed)
+                                         : nullptr),
+      sim_net_(tcp_ != nullptr ? nullptr
+                               : std::make_unique<net::SimNetwork>(sim_, Rng(spec.seed),
+                                                                   net::AsyncLinkParams{})),
+      net_(tcp_ != nullptr ? static_cast<net::Transport&>(tcp_->transport()) : *sim_net_),
+      domain_(tcp_ != nullptr
+                  ? orb::OrbDomain::SimProvider([rt = tcp_.get()](NodeId node) -> sim::Simulation& {
+                        return rt->loop_of(node);
+                    })
+                  : orb::OrbDomain::SimProvider([this](NodeId) -> sim::Simulation& { return sim_; }),
+              net_, sim::CostModel{}, spec.threads_per_node),
+      service_(spec.service) {
+    // Obs stamps read one deterministic clock; the TCP backend has a loop
+    // per node.
+    ensure(spec.obs == nullptr || tcp_ == nullptr, "deploy: tracing needs the sim backend");
+    // Stamps read now() lazily, so binding before the stack exists is safe.
+    if (spec.obs != nullptr) spec.obs->bind(&sim_);
+}
+
+Deployment::~Deployment() = default;
+
+TimePoint Deployment::now() const { return tcp_ != nullptr ? tcp_->now() : sim_.now(); }
+
+void Deployment::run() {
+    if (tcp_ != nullptr) {
+        tcp_->run(false, 0);
+    } else {
+        sim_.run();
+    }
+}
+
+void Deployment::run_until(TimePoint deadline) {
+    if (tcp_ != nullptr) {
+        tcp_->run(true, deadline);
+    } else {
+        sim_.run_until(deadline);
+    }
+}
+
+void Deployment::attach(Observers observers) {
+    observers_ = std::move(observers);
+    for (int i = 0; i < group_size(); ++i) {
+        newtop::InvocationService& invocation = *members_[static_cast<std::size_t>(i)].invocation;
+        if (observers_.delivered) {
+            invocation.on_delivery([this, i](const newtop::Delivery& d) {
+                observers_.delivered(i, d.payload);
+            });
+        }
+        if (observers_.view_installed) {
+            invocation.on_view([this, i](const newtop::GroupView& v) {
+                observers_.view_installed(i, v);
+            });
+        }
+        if (observers_.middleware_failure) {
+            invocation.on_middleware_failure([this, i](const std::string& fs_name) {
+                observers_.middleware_failure(i, fs_name);
+            });
+        }
+    }
+}
+
+void Deployment::submit(int member, Bytes payload) {
+    const Member& m = members_.at(static_cast<std::size_t>(member));
+    post(m.home, [this, &m, payload = std::move(payload)]() mutable {
+        m.invocation->multicast(service_, std::move(payload));
+    });
+}
+
+BatchStats Deployment::batch_stats() const {
+    BatchStats stats;
+    for (const Member& m : members_) stats += m.invocation->batch_stats();
+    return stats;
 }
 
 void Deployment::crash(int member) {
+    const std::vector<NodeId> mine = nodes_of(member);
+    if (tcp_ != nullptr) {
+        tcp_->crash(mine);
+        return;
+    }
     // A crashed host stops talking to everyone; peers see silence and react
     // through whatever detection their stack has (suspectors, quorums).
-    const std::vector<NodeId> mine = nodes_of(member);
     for (int other = 0; other < group_size(); ++other) {
         if (other == member) continue;
         for (const NodeId theirs : nodes_of(other)) {
@@ -46,19 +121,13 @@ void Deployment::crash(int member) {
 }
 
 void Deployment::recover(int member) {
-    // Sim backends share one event loop, so the rejoin sequence can run
-    // inline: heal the links first, then the stack's node-affine steps in
-    // order (state resets before the join request).
-    recover_links(member);
-    for (auto& step : recover_steps(member)) {
-        if (step.fn) step.fn();
-    }
-}
-
-void Deployment::recover_links(int member) {
-    // Exact inverse of the default crash(): unblock both directions of every
-    // pair the crash blocked.
     const std::vector<NodeId> mine = nodes_of(member);
+    if (tcp_ != nullptr) {
+        tcp_->recover(mine);
+        return;
+    }
+    // Exact inverse of crash(): unblock both directions of every pair the
+    // crash blocked.
     for (int other = 0; other < group_size(); ++other) {
         if (other == member) continue;
         for (const NodeId theirs : nodes_of(other)) {
@@ -68,10 +137,6 @@ void Deployment::recover_links(int member) {
 }
 
 bool Deployment::inject_fault(const FaultInjection&) { return false; }
-
-std::optional<NodeId> Deployment::fault_home(const FaultInjection&) const {
-    return std::nullopt;
-}
 
 void Deployment::partition(const std::vector<std::vector<int>>& member_groups) {
     std::vector<std::set<NodeId>> node_groups;
@@ -85,21 +150,25 @@ void Deployment::partition(const std::vector<std::vector<int>>& member_groups) {
     faults().partition(node_groups);
 }
 
-bool Deployment::fire_timeouts() {
-    if (!has_liveness_timeouts()) return false;
-    for (int member = 0; member < group_size(); ++member) fire_timeouts_member(member);
+bool Deployment::run_on(NodeId node, std::function<void()> fn) {
+    if (tcp_ != nullptr) return tcp_->run_on(node, std::move(fn));
+    fn();
     return true;
 }
 
-void Deployment::fire_timeouts_member(int) {}
-
-void Deployment::stop_perpetual() {
-    for (int member = 0; member < group_size(); ++member) stop_perpetual_member(member);
+void Deployment::enqueue(NodeId node, std::function<void()> task) {
+    tcp_->post(node, std::move(task));
 }
 
-void Deployment::stop_perpetual_member(int) {}
+void Deployment::halt() {
+    if (tcp_ != nullptr) tcp_->halt();
+}
 
-bool Deployment::supports_host_faults() const { return true; }
+std::optional<AppStateInfo> Deployment::app_state_on(NodeId node, const app::KvStore& app) {
+    std::optional<AppStateInfo> info;
+    run_on(node, [&] { info = AppStateInfo{app.applied(), app.digest(), app.state_string()}; });
+    return info;
+}
 
 SystemTraits traits_of(SystemKind system) {
     switch (system) {
@@ -117,10 +186,6 @@ std::unique_ptr<Deployment> make_deployment(SystemKind system, const DeploymentS
         throw std::logic_error(std::string("deploy: group_size below the system's floor: ") +
                                traits.min_group_reason);
     }
-    // The TCP backend wraps whatever the sim backend builds: the wrapper
-    // re-enters make_deployment with backend == kSim and an env pointing at
-    // its transport and per-node loops.
-    if (spec.backend == Backend::kTcp) return std::make_unique<TcpDeployment>(system, spec);
     switch (system) {
         case SystemKind::kNewTop: return std::make_unique<NewTopDeployment>(spec);
         case SystemKind::kFsNewTop: return std::make_unique<FsNewTopDeployment>(spec);

@@ -19,16 +19,17 @@
 #include <string>
 #include <vector>
 
+#include "app/kv_store.hpp"
 #include "common/batch.hpp"
 #include "fs/fault.hpp"
 #include "fs/fso.hpp"
 #include "net/network.hpp"
-#include "net/runtime_env.hpp"
+#include "newtop/invocation.hpp"
 #include "newtop/suspector.hpp"
 #include "newtop/types.hpp"
 #include "obs/obs.hpp"
+#include "orb/orb.hpp"
 #include "sim/simulation.hpp"
-#include "time/clock.hpp"
 
 namespace failsig::fsnewtop {
 
@@ -83,16 +84,14 @@ struct DeploymentSpec {
     /// Per-run observability context (metrics + spans + flight recorder);
     /// nullptr = tracing off. Owned by the caller (run_scenario); the
     /// deployment binds it to its Simulation and threads the pointer into
-    /// the stacks' lifecycle hooks.
+    /// the stacks' lifecycle hooks. Sim backend only: the TCP backend has no
+    /// single deterministic clock to bind, and rejects it.
     obs::Obs* obs{nullptr};
 
     /// Execution backend. kSim is the deterministic default; kTcp runs the
-    /// same stack over real sockets (deploy::TcpDeployment wraps the sim
-    /// backend's deployment). Not serialized into reports.
+    /// same stack over real sockets, one executor per node (deploy/tcp.hpp).
+    /// Not serialized into reports.
     Backend backend{Backend::kSim};
-    /// External runtime environment forwarded into the stack (the TCP
-    /// wrapper fills this; external callers leave it default).
-    net::RuntimeEnv env{};
     /// Application checkpoint cadence (delivered requests between
     /// checkpoints). Enables PBFT log truncation and gives rejoin grants a
     /// checkpoint history to ship; 0 = off (pre-existing behavior,
@@ -122,14 +121,6 @@ struct FaultInjection {
     /// Target the pair's leader wrapper object (else the follower).
     bool at_leader{true};
     fs::FaultPlan plan{};
-};
-
-/// One node-affine action of a member's rejoin sequence. The sim backend
-/// runs the steps inline (one event loop); the TCP backend posts each onto
-/// its node's executor and waits, preserving the sequence across threads.
-struct RecoveryStep {
-    NodeId node{0};
-    std::function<void()> fn;
 };
 
 /// Deterministic recovery counters aggregated over the whole deployment
@@ -168,98 +159,86 @@ struct AppStateInfo {
     std::string detail;
 };
 
+class TcpRuntime;
+
+/// One run of one stack on one backend. The base owns what every stack
+/// shares: the driver loop, the message plane, the ORB domain and, on
+/// Backend::kTcp, the TcpRuntime (deploy/tcp.hpp) whose per-node executors
+/// run the stack over real sockets. A stack class builds its protocol
+/// objects on domain(), registers each member's Invocation layer with
+/// add_member, and reaches node state through post()/run_on(), which run
+/// inline on the simulator and on the node's executor on TCP, so it writes
+/// each hook once for both backends.
 class Deployment {
 public:
-    virtual ~Deployment() = default;
+    virtual ~Deployment();
+
+    Deployment(const Deployment&) = delete;
+    Deployment& operator=(const Deployment&) = delete;
 
     // --- accessors --------------------------------------------------------
-    /// Driver event loop: the shared Simulation on the sim backends, the
-    /// coordinator's timeline loop on the TCP backend. Drive the run through
-    /// now()/schedule()/run()/run_until() below instead of reaching in —
-    /// they are backend-agnostic.
-    [[nodiscard]] virtual sim::Simulation& sim() = 0;
-    /// Message plane (stats, lifecycle, fault model).
-    [[nodiscard]] virtual net::Transport& network() = 0;
+    /// Driver event loop: the one Simulation every node shares on the sim
+    /// backend, the coordinator's timeline loop on the TCP backend. Drive
+    /// the run through now()/schedule()/run()/run_until() below instead of
+    /// reaching in — they are backend-agnostic.
+    [[nodiscard]] sim::Simulation& sim() { return sim_; }
+    /// Message plane (stats, lifecycle, fault model): a SimNetwork, or the
+    /// runtime's TcpTransport.
+    [[nodiscard]] net::Transport& network() { return net_; }
     /// The message plane's fault model (block/partition/delay/drop/corrupt).
     [[nodiscard]] net::FaultInjector& faults() { return network().faults(); }
-    [[nodiscard]] virtual int group_size() const = 0;
+    [[nodiscard]] int group_size() const { return static_cast<int>(members_.size()); }
     /// Physical nodes that embody `member` (its host plus any dedicated pair
     /// nodes). Host-level faults (crash, partition) operate on these.
     [[nodiscard]] virtual std::vector<NodeId> nodes_of(int member) const = 0;
 
     // --- time & execution -------------------------------------------------
-    /// The deployment's clock; safe to read from any upcall context. Base:
-    /// a SimClock over sim(). The TCP backend mounts its VirtualClock.
-    [[nodiscard]] virtual const time::Clock& clock();
-    [[nodiscard]] virtual TimePoint now() { return sim().now(); }
+    /// Virtual now; safe to read from any upcall context.
+    [[nodiscard]] TimePoint now() const;
     /// Schedules a driver-side action (workload submission, fault event) at
     /// virtual time `at`. Driver thread only; call before or between runs.
-    virtual void schedule(TimePoint at, std::function<void()> fn) {
-        sim().schedule_at(at, std::move(fn));
-    }
+    void schedule(TimePoint at, std::function<void()> fn) { sim_.schedule_at(at, std::move(fn)); }
     /// Runs until nothing is left to do anywhere in the deployment.
-    virtual void run() { sim().run(); }
+    void run();
     /// Runs until virtual time `deadline`; now() == deadline afterwards.
-    virtual void run_until(TimePoint deadline) { sim().run_until(deadline); }
+    void run_until(TimePoint deadline);
 
     // --- workload ---------------------------------------------------------
     /// Attaches observers. On the TCP backend callbacks fire on executor
     /// threads (one per node); callers needing aggregation must lock.
-    virtual void attach(Observers observers) = 0;
-    /// Submits one application payload at `member` (multicast / request).
-    virtual void submit(int member, Bytes payload) = 0;
+    virtual void attach(Observers observers);
+    /// Multicasts `payload` from `member` with the spec's service class, on
+    /// the member's home node. Any thread.
+    void submit(int member, Bytes payload);
 
     // --- fault hooks ------------------------------------------------------
-    /// Crashes the member's host. Default: isolate every node of `member`
-    /// from every node of every other member (fail-silent host).
+    /// Crashes the member's host: its nodes go silent to every other
+    /// member's (sim: blocked links; TCP: frames dropped and executors torn
+    /// down). Peers react through whatever detection their stack has.
     virtual void crash(int member);
     /// Injects a Byzantine fault plan; returns false when the stack has no
     /// fail-signal layer to aim it at (callers note it instead of acting).
     virtual bool inject_fault(const FaultInjection& fault);
-    /// Node whose event loop owns the state `inject_fault(fault)` mutates
-    /// (nullopt = no fail-signal layer). The TCP backend posts the
-    /// injection onto that node's executor.
-    [[nodiscard]] virtual std::optional<NodeId> fault_home(const FaultInjection& fault) const;
     /// Splits the members into isolated groups; traffic across groups drops
-    /// until faults().heal_partition(). Default: partition the union of
-    /// each group's `nodes_of`.
-    virtual void partition(const std::vector<std::vector<int>>& member_groups);
-    /// Whether the stack has liveness timers fire_timeouts() can fire.
-    [[nodiscard]] virtual bool has_liveness_timeouts() const { return false; }
-    /// Fires liveness timers (PBFT view change); returns false when the
-    /// stack has none. Default: one fire_timeouts_member per member.
-    virtual bool fire_timeouts();
-    /// Fires one member's liveness timers (the TCP backend posts this onto
-    /// the member's own executor).
-    virtual void fire_timeouts_member(int member);
-    /// Stops self-rescheduling activity (suspector ping loops) so the
-    /// simulation can settle. Default: one stop_perpetual_member per member.
-    virtual void stop_perpetual();
-    /// Per-member half of stop_perpetual (TCP executor affinity). Default:
-    /// nothing to stop.
-    virtual void stop_perpetual_member(int member);
+    /// until faults().heal_partition(). Partitions the union of each group's
+    /// `nodes_of`.
+    void partition(const std::vector<std::vector<int>>& member_groups);
+    /// Fires liveness timers (PBFT view change) on every live member;
+    /// returns false when the stack has none.
+    virtual bool fire_timeouts() { return false; }
+    /// Stops self-rescheduling activity (suspector ping loops) so the run
+    /// can settle. Default: nothing to stop.
+    virtual void stop_perpetual() {}
     /// Whether host-level faults (crash/partition) are expressible. False
     /// for FS-NewTOP's collocated placement, where a host is shared between
     /// two pairs and a host fault would sever healthy pairs.
-    [[nodiscard]] virtual bool supports_host_faults() const;
+    [[nodiscard]] virtual bool supports_host_faults() const { return true; }
 
     // --- recovery ---------------------------------------------------------
-    /// Brings a crashed/excluded member back: heal its links (the inverse of
-    /// the default crash()) and run the stack's rejoin steps. Default:
-    /// recover_links() then each recover_steps() entry inline (single event
-    /// loop). The TCP backend overrides this to revive the member's executor
-    /// and post each step onto its owning node.
+    /// Brings a crashed/excluded member back. Base: undoes the base crash()
+    /// only. Stacks run their rejoin sequence (state resets, suspector
+    /// forgiveness, the join request) after it, one run_on per step.
     virtual void recover(int member);
-    /// Undoes the link isolation the default crash() applied. Stacks whose
-    /// crash() is not link-based (FS pair-link severing) override this.
-    virtual void recover_links(int member);
-    /// The stack's node-affine rejoin sequence for `member` (state resets,
-    /// suspector forgiveness, the join request). Empty = stack has no rejoin
-    /// path; recover() then only heals links.
-    [[nodiscard]] virtual std::vector<RecoveryStep> recover_steps(int member) {
-        (void)member;
-        return {};
-    }
     /// Member's replicated app state at quiescence (nullopt = stack carries
     /// no app layer, or the member is still down).
     [[nodiscard]] virtual std::optional<AppStateInfo> app_state_of(int member) {
@@ -270,9 +249,8 @@ public:
     [[nodiscard]] virtual RecoveryStats recovery_stats() const { return {}; }
 
     // --- deterministic counters ------------------------------------------
-    /// Aggregated batching-pipeline counters (zero when batching is off or
-    /// the stack ignores DeploymentSpec::batch).
-    [[nodiscard]] virtual BatchStats batch_stats() const { return {}; }
+    /// Aggregated batching-pipeline counters (zero when batching is off).
+    [[nodiscard]] BatchStats batch_stats() const;
     /// Signature verifications actually performed / answered from the verify
     /// memo. Zero for stacks without an authentication layer (NewTOP, the
     /// unauthenticated PBFT baseline); FS-NewTOP reports its KeyService.
@@ -281,9 +259,60 @@ public:
     /// Most verdicts the verify memo has held at once (zero without one).
     [[nodiscard]] virtual std::uint64_t crypto_memo_high_water() const { return 0; }
 
+protected:
+    /// Builds the world from `spec` in a fixed order: the Simulation, then
+    /// the message plane (a SimNetwork, or a TcpRuntime and its transport),
+    /// then the ORB domain. Binds spec.obs to the Simulation (sim only).
+    explicit Deployment(const DeploymentSpec& spec);
+
+    [[nodiscard]] orb::OrbDomain& domain() { return domain_; }
+    [[nodiscard]] const Observers& observers() const { return observers_; }
+    /// Registers the next member's Invocation layer (member order) and the
+    /// node it lives on.
+    void add_member(NodeId home, newtop::InvocationService& invocation) {
+        members_.push_back({home, &invocation});
+    }
+
+    /// Runs `fn` on `node`'s event loop: inline on the simulator, queued on
+    /// the node's executor on TCP (dropped while the node is crashed).
+    template <class Fn>
+    void post(NodeId node, Fn fn) {
+        if (tcp_ != nullptr) {
+            enqueue(node, std::move(fn));
+        } else {
+            fn();
+        }
+    }
+    /// post() that waits for `fn` to finish. Returns false, without running
+    /// `fn`, when the node is crashed on TCP.
+    bool run_on(NodeId node, std::function<void()> fn);
+    /// Stops every node before the stack's objects die: on TCP it joins the
+    /// executors and closes the transport. Each stack's destructor calls it
+    /// first. Idempotent; a no-op on the simulator.
+    void halt();
+
+    /// Reads `app`, a member's replicated store living on `node`, on that
+    /// node's loop (app_state_of's one body); nullopt when the node is down.
+    [[nodiscard]] std::optional<AppStateInfo> app_state_on(NodeId node, const app::KvStore& app);
+
 private:
-    /// Lazily built default clock (a SimClock over sim()).
-    std::optional<time::SimClock> default_clock_;
+    struct Member {
+        NodeId home;
+        newtop::InvocationService* invocation;
+    };
+
+    void enqueue(NodeId node, std::function<void()> task);
+
+    // Declaration order is teardown order, reversed: the ORBs die before the
+    // per-node loops, and both before the driver loop.
+    sim::Simulation sim_;
+    std::unique_ptr<TcpRuntime> tcp_;           // null on the sim backend
+    std::unique_ptr<net::SimNetwork> sim_net_;  // null on the TCP backend
+    net::Transport& net_;
+    orb::OrbDomain domain_;
+    newtop::ServiceType service_;
+    std::vector<Member> members_;
+    Observers observers_;
 };
 
 /// Static facts the engine needs before (or instead of) construction.

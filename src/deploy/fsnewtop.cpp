@@ -9,7 +9,7 @@ std::string gc_name(int member) { return "GC:" + std::to_string(member); }
 }  // namespace
 
 FsNewTopDeployment::FsNewTopDeployment(const DeploymentSpec& spec)
-    : StackDeployment(spec),
+    : Deployment(spec),
       keys_(crypto::KeyService::Backend::kHmac, 512, spec.seed ^ 0x6b657973u),
       host_(fs::FsRuntime{network(), domain(), keys_, directory_, spec.obs}),
       placement_(spec.placement) {
@@ -45,7 +45,7 @@ FsNewTopDeployment::FsNewTopDeployment(const DeploymentSpec& spec)
         m.invocation = std::make_unique<fsnewtop::FsInvocation>(
             host_.runtime(), domain().create_orb(app_node(i)), "inv:" + std::to_string(i),
             gc_name(i), spec.batch, spec.obs, i);
-        add_member(*m.invocation);
+        add_member(m.app_node, *m.invocation);
     }
 
     // Pass 2: the FS-wrapped GC pairs.
@@ -112,7 +112,7 @@ std::vector<NodeId> FsNewTopDeployment::nodes_of(int i) const {
 }
 
 void FsNewTopDeployment::attach(Observers wanted) {
-    StackDeployment::attach(std::move(wanted));
+    Deployment::attach(std::move(wanted));
     if (!observers().fail_signal) return;
     for (int i = 0; i < group_size(); ++i) {
         const auto observer = [this, i](const std::string& name, const std::string& reason) {
@@ -125,11 +125,8 @@ void FsNewTopDeployment::attach(Observers wanted) {
 
 void FsNewTopDeployment::crash(int i) { faults().block(leader_node_of(i), follower_node_of(i)); }
 
-void FsNewTopDeployment::recover_links(int i) {
+void FsNewTopDeployment::recover(int i) {
     faults().unblock(leader_node_of(i), follower_node_of(i));
-}
-
-std::vector<RecoveryStep> FsNewTopDeployment::recover_steps(int i) {
     // Severing the pair link desynchronizes the wrapper objects: the leader
     // keeps ordering/executing while the follower starves, so their order
     // sequences diverge and both latch fail-signalling. Recovery re-bases
@@ -139,32 +136,21 @@ std::vector<RecoveryStep> FsNewTopDeployment::recover_steps(int i) {
     // dedup stays sound), then wipes the replicated GC through the ordinary
     // deterministic input path: "__rejoin" executes identically in both
     // replicas, so their outputs match and the pair self-check resumes.
-    auto base = std::make_shared<std::uint64_t>(1);
-    std::vector<RecoveryStep> steps;
-    steps.push_back({leader_node_of(i), [this, i, base] {
-                         *base = std::max(*base, leader_fso(i).next_seq());
-                     }});
-    steps.push_back({follower_node_of(i), [this, i, base] {
-                         *base = std::max(*base, follower_fso(i).next_seq());
-                     }});
-    steps.push_back({leader_node_of(i), [this, i, base] {
-                         leader_fso(i).reset_for_recovery(*base);
-                     }});
-    steps.push_back({follower_node_of(i), [this, i, base] {
-                         follower_fso(i).reset_for_recovery(*base);
-                     }});
-    steps.push_back({app_node_of(i), [this, i] {
-                         invocation(i).resume_deliveries_at(1);
-                         invocation(i).send_control("__rejoin", Bytes{});
-                     }});
-    return steps;
+    std::uint64_t base = 1;
+    run_on(leader_node_of(i), [&] { base = std::max(base, leader_fso(i).next_seq()); });
+    run_on(follower_node_of(i), [&] { base = std::max(base, follower_fso(i).next_seq()); });
+    run_on(leader_node_of(i), [&] { leader_fso(i).reset_for_recovery(base); });
+    run_on(follower_node_of(i), [&] { follower_fso(i).reset_for_recovery(base); });
+    run_on(app_node_of(i), [this, i] {
+        invocation(i).resume_deliveries_at(1);
+        invocation(i).send_control("__rejoin", Bytes{});
+    });
 }
 
 std::optional<AppStateInfo> FsNewTopDeployment::app_state_of(int i) {
     // The pair's replicas hold identical app state by construction; read the
     // leader's copy.
-    const auto& app = gc_leader(i).app();
-    return AppStateInfo{app.applied(), app.digest(), app.state_string()};
+    return app_state_on(leader_node_of(i), gc_leader(i).app());
 }
 
 RecoveryStats FsNewTopDeployment::recovery_stats() const {
@@ -180,8 +166,10 @@ RecoveryStats FsNewTopDeployment::recovery_stats() const {
 }
 
 bool FsNewTopDeployment::inject_fault(const FaultInjection& fault) {
-    fs::Fso& target = fault.at_leader ? leader_fso(fault.member) : follower_fso(fault.member);
-    target.set_fault_plan(fault.plan);
+    const int i = fault.member;
+    fs::Fso& target = fault.at_leader ? leader_fso(i) : follower_fso(i);
+    post(fault.at_leader ? leader_node_of(i) : follower_node_of(i),
+         [&target, plan = fault.plan] { target.set_fault_plan(plan); });
     return true;
 }
 

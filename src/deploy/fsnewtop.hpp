@@ -14,36 +14,34 @@
 
 #include <memory>
 
-#include "deploy/stack.hpp"
+#include "deploy/deployment.hpp"
 #include "fs/process.hpp"
 #include "fsnewtop/fs_invocation.hpp"
 #include "newtop/gc_service.hpp"
 
 namespace failsig::deploy {
 
-class FsNewTopDeployment final : public StackDeployment {
+class FsNewTopDeployment final : public Deployment {
 public:
     explicit FsNewTopDeployment(const DeploymentSpec& spec);
+    ~FsNewTopDeployment() override { halt(); }
 
     [[nodiscard]] std::vector<NodeId> nodes_of(int member) const override;
 
     /// Adds the fail-signal observers to the shared Invocation-layer ones.
     void attach(Observers observers) override;
 
-    /// The FS-level crash: sever the pair's synchronous link, so the pair
-    /// can no longer self-check and announces its own failure — no timeout
-    /// guessing at the other members.
+    /// The FS-level crash, on both backends: sever the pair's synchronous
+    /// link, so the pair can no longer self-check and announces its own
+    /// failure — no timeout guessing at the other members.
     void crash(int member) override;
-    /// Inverse of crash(): restore the pair link (the wrapper-object reset
-    /// and the GC-level rejoin ride in recover_steps()).
-    void recover_links(int member) override;
-    std::vector<RecoveryStep> recover_steps(int member) override;
+    /// Inverse of crash(): restore the pair link, re-base both wrapper
+    /// objects and rejoin through the replicated GC.
+    void recover(int member) override;
     [[nodiscard]] std::optional<AppStateInfo> app_state_of(int member) override;
     [[nodiscard]] RecoveryStats recovery_stats() const override;
+    /// Applies the plan on the targeted wrapper object's node.
     bool inject_fault(const FaultInjection& fault) override;
-    [[nodiscard]] std::optional<NodeId> fault_home(const FaultInjection& fault) const override {
-        return fault.at_leader ? leader_node_of(fault.member) : follower_node_of(fault.member);
-    }
     /// Host faults act on whole hosts; under the collocated placement every
     /// host is shared between two pairs (member i's leader and member i-1's
     /// follower), so only the dedicated-node placement can express them.

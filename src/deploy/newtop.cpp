@@ -2,7 +2,7 @@
 
 namespace failsig::deploy {
 
-NewTopDeployment::NewTopDeployment(const DeploymentSpec& spec) : StackDeployment(spec) {
+NewTopDeployment::NewTopDeployment(const DeploymentSpec& spec) : Deployment(spec) {
     const int n = spec.group_size;
     ensure(n >= 1, "NewTopDeployment: group_size must be >= 1");
 
@@ -42,7 +42,7 @@ NewTopDeployment::NewTopDeployment(const DeploymentSpec& spec) : StackDeployment
                                                    std::make_unique<newtop::GcService>(cfg));
         m.invocation = std::make_unique<newtop::PlainInvocation>(orb, "inv", *m.gc, spec.batch,
                                                                  spec.obs, i);
-        add_member(*m.invocation);
+        add_member(node_of(i), *m.invocation);
         m.suspector = std::make_unique<newtop::PingSuspector>(
             orb.simulation(), orb, "susp", static_cast<newtop::MemberId>(i), *m.gc,
             spec.suspector);
@@ -71,33 +71,33 @@ const newtop::GcService& NewTopDeployment::gc(int i) const {
 
 newtop::PingSuspector& NewTopDeployment::suspector(int i) { return *member(i).suspector; }
 
-void NewTopDeployment::stop_perpetual_member(int i) { member(i).suspector->stop(); }
+void NewTopDeployment::stop_perpetual() {
+    for (int i = 0; i < group_size(); ++i) post(node_of(i), [this, i] { suspector(i).stop(); });
+}
 
-std::vector<RecoveryStep> NewTopDeployment::recover_steps(int i) {
-    std::vector<RecoveryStep> steps;
+void NewTopDeployment::recover(int i) {
+    Deployment::recover(i);
     // Survivors first: forgive the rejoiner in their ping suspectors, so the
     // join request is not raced by a fresh (false) suspicion of a member
     // whose last_heard_ timestamp predates its crash.
     for (int s = 0; s < group_size(); ++s) {
         if (s == i) continue;
-        steps.push_back({node_of(s), [this, s, i] {
-                             suspector(s).forgive(static_cast<newtop::MemberId>(i));
-                         }});
+        run_on(node_of(s), [this, s, i] {
+            suspector(s).forgive(static_cast<newtop::MemberId>(i));
+        });
     }
     // Then the rejoiner: clean suspector slate, re-armed delivery
     // resequencer, and the GC-level "__rejoin" that wipes state and asks the
     // survivors for readmission.
-    steps.push_back({node_of(i), [this, i] {
-                         suspector(i).forgive_all();
-                         invocation(i).resume_deliveries_at(1);
-                         member(i).gc->submit_local("__rejoin", Bytes{});
-                     }});
-    return steps;
+    run_on(node_of(i), [this, i] {
+        suspector(i).forgive_all();
+        invocation(i).resume_deliveries_at(1);
+        member(i).gc->submit_local("__rejoin", Bytes{});
+    });
 }
 
 std::optional<AppStateInfo> NewTopDeployment::app_state_of(int i) {
-    const auto& app = gc(i).app();
-    return AppStateInfo{app.applied(), app.digest(), app.state_string()};
+    return app_state_on(node_of(i), gc(i).app());
 }
 
 RecoveryStats NewTopDeployment::recovery_stats() const {

@@ -5,22 +5,25 @@
 
 #include <memory>
 
-#include "deploy/stack.hpp"
+#include "deploy/deployment.hpp"
 #include "newtop/suspector.hpp"
 
 namespace failsig::deploy {
 
-class NewTopDeployment final : public StackDeployment {
+class NewTopDeployment final : public Deployment {
 public:
     explicit NewTopDeployment(const DeploymentSpec& spec);
+    ~NewTopDeployment() override { halt(); }
 
     [[nodiscard]] std::vector<NodeId> nodes_of(int member) const override {
         return {node_of(member)};
     }
 
-    void stop_perpetual_member(int member) override;
+    void stop_perpetual() override;
 
-    std::vector<RecoveryStep> recover_steps(int member) override;
+    /// Undoes the crash, then rejoins: survivors forgive the member, which
+    /// wipes its state and asks for readmission.
+    void recover(int member) override;
     [[nodiscard]] std::optional<AppStateInfo> app_state_of(int member) override;
     [[nodiscard]] RecoveryStats recovery_stats() const override;
 

@@ -4,7 +4,7 @@ namespace failsig::deploy {
 
 using baseline::ReplicaId;
 
-PbftDeployment::PbftDeployment(const DeploymentSpec& spec) : StackDeployment(spec) {
+PbftDeployment::PbftDeployment(const DeploymentSpec& spec) : Deployment(spec) {
     const auto n = static_cast<std::uint32_t>(spec.group_size);
     ensure(n >= 4, "PbftDeployment: need at least 4 replicas");
 
@@ -36,31 +36,35 @@ PbftDeployment::PbftDeployment(const DeploymentSpec& spec) : StackDeployment(spe
             orb, "pbft", std::make_unique<baseline::PbftReplica>(cfg));
         r.invocation = std::make_unique<baseline::PbftInvocation>(orb, "app", *r.servant, i,
                                                                   spec.batch, spec.obs);
-        add_member(*r.invocation);
+        add_member(node_of(i), *r.invocation);
     }
 }
 
-void PbftDeployment::fire_timeouts_member(int member) {
-    auto& servant = *replicas_.at(static_cast<std::size_t>(member)).servant;
-    ByteWriter w;
-    w.u64(servant.service().view());
-    servant.submit_local("timeout", w.take());
+bool PbftDeployment::fire_timeouts() {
+    for (ReplicaId r = 0; r < replicas_.size(); ++r) {
+        // A crashed replica's executor drops the post on TCP: dead replicas
+        // do not fire view changes.
+        post(node_of(r), [this, r] {
+            auto& servant = *replicas_[r].servant;
+            ByteWriter w;
+            w.u64(servant.service().view());
+            servant.submit_local("timeout", w.take());
+        });
+    }
+    return true;
 }
 
-std::vector<RecoveryStep> PbftDeployment::recover_steps(int member) {
-    // The replica restarts with an empty log and pulls a stable checkpoint
-    // plus the committed suffix from its peers; everything runs through the
-    // servant's ordinary input path, so no link surgery is needed beyond the
-    // default unblock.
+void PbftDeployment::recover(int member) {
+    Deployment::recover(member);
+    // Everything runs through the servant's ordinary input path, so no link
+    // surgery is needed beyond the base's.
     const auto r = static_cast<ReplicaId>(member);
-    return {{node_of(r), [this, r] {
-                 replicas_.at(r).servant->submit_local("recover", Bytes{});
-             }}};
+    run_on(node_of(r), [this, r] { replicas_.at(r).servant->submit_local("recover", Bytes{}); });
 }
 
 std::optional<AppStateInfo> PbftDeployment::app_state_of(int member) {
-    const auto& app = replica(static_cast<ReplicaId>(member)).app();
-    return AppStateInfo{app.applied(), app.digest(), app.state_string()};
+    const auto r = static_cast<ReplicaId>(member);
+    return app_state_on(node_of(r), replica(r).app());
 }
 
 RecoveryStats PbftDeployment::recovery_stats() const {

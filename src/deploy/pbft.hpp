@@ -8,24 +8,26 @@
 #include <memory>
 
 #include "baseline/pbft_invocation.hpp"
-#include "deploy/stack.hpp"
+#include "deploy/deployment.hpp"
 
 namespace failsig::deploy {
 
-class PbftDeployment final : public StackDeployment {
+class PbftDeployment final : public Deployment {
 public:
     explicit PbftDeployment(const DeploymentSpec& spec);
+    ~PbftDeployment() override { halt(); }
 
     [[nodiscard]] std::vector<NodeId> nodes_of(int member) const override {
         return {node_of(static_cast<baseline::ReplicaId>(member))};
     }
 
-    [[nodiscard]] bool has_liveness_timeouts() const override { return true; }
-    /// Fires one replica's view-change timeout (the liveness escape hatch
-    /// when the primary is silent).
-    void fire_timeouts_member(int member) override;
+    /// Fires every live replica's view-change timeout (the liveness escape
+    /// hatch when the primary is silent).
+    bool fire_timeouts() override;
 
-    std::vector<RecoveryStep> recover_steps(int member) override;
+    /// Undoes the crash, then the replica restarts with an empty log and
+    /// pulls a stable checkpoint plus the committed suffix from its peers.
+    void recover(int member) override;
     [[nodiscard]] std::optional<AppStateInfo> app_state_of(int member) override;
     [[nodiscard]] RecoveryStats recovery_stats() const override;
 

@@ -3,14 +3,18 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
-#include <set>
 #include <utility>
 
 #include "common/result.hpp"
 
 namespace failsig::deploy {
 
-TcpDeployment::TcpDeployment(SystemKind system, const DeploymentSpec& spec) {
+TcpRuntime::TcpRuntime(sim::Simulation& driver, std::uint64_t seed)
+    : driver_(driver), transport_(hooks(), Rng(seed ^ 0x7c9d2f1eULL)) {}
+
+TcpRuntime::~TcpRuntime() { halt(); }
+
+net::TcpTransport::Hooks TcpRuntime::hooks() {
     net::TcpTransport::Hooks hooks;
     hooks.post = [this](NodeId node, std::function<void()> task) {
         post(node, std::move(task));
@@ -30,31 +34,11 @@ TcpDeployment::TcpDeployment(SystemKind system, const DeploymentSpec& spec) {
         }
         board_cv_.notify_all();
     };
-    hooks.now = [this] { return vclock_.now(); };
-    transport_ = std::make_unique<net::TcpTransport>(std::move(hooks),
-                                                     Rng(spec.seed ^ 0x7c9d2f1eULL));
-
-    // The wrapped deployment is the one make_deployment builds for the sim
-    // backend, mounted on this transport and on per-node event loops. Its
-    // topology building (bind per endpoint, one Simulation per node via
-    // sim_of) runs single-threaded, right here.
-    DeploymentSpec inner_spec = spec;
-    inner_spec.backend = Backend::kSim;
-    // Obs binds to one Simulation clock; with one loop per node there is no
-    // single deterministic clock to bind, so tracing is sim-backend-only.
-    inner_spec.obs = nullptr;
-    inner_spec.env.transport = transport_.get();
-    inner_spec.env.sim_of = [this](NodeId node) -> sim::Simulation& {
-        return executor_for(node).sim;
-    };
-    inner_ = make_deployment(system, inner_spec);
-
-    // All listeners exist now; open the reactor. Executor threads stay parked
-    // until the first run — construction stays cheap and single-threaded.
-    transport_->start();
+    hooks.now = [this] { return now(); };
+    return hooks;
 }
 
-TcpDeployment::~TcpDeployment() {
+void TcpRuntime::halt() {
     {
         const std::lock_guard lock(mu_);
         shutdown_ = true;
@@ -67,14 +51,13 @@ TcpDeployment::~TcpDeployment() {
     for (auto& [id, ex] : execs_) {
         if (ex->thread.joinable()) ex->thread.join();
     }
-    // Stop the reactor before the stacks unbind (members destruct after this
-    // body, in reverse declaration order: inner_ first, transport_ last).
-    transport_->close();
+    // Stop the reactor before the stack's objects unbind.
+    transport_.close();
 }
 
 // --- executors --------------------------------------------------------------
 
-TcpDeployment::NodeExecutor& TcpDeployment::executor_for(NodeId node) {
+sim::Simulation& TcpRuntime::loop_of(NodeId node) {
     const std::lock_guard lock(mu_);
     auto it = execs_.find(node.value);
     if (it == execs_.end()) {
@@ -82,15 +65,15 @@ TcpDeployment::NodeExecutor& TcpDeployment::executor_for(NodeId node) {
                "deploy: tcp executor requested for unknown node after start");
         it = execs_.emplace(node.value, std::make_unique<NodeExecutor>(node)).first;
     }
-    return *it->second;
+    return it->second->sim;
 }
 
-TcpDeployment::NodeExecutor* TcpDeployment::find_executor(NodeId node) {
+TcpRuntime::NodeExecutor* TcpRuntime::find_executor(NodeId node) {
     const auto it = execs_.find(node.value);
     return it == execs_.end() ? nullptr : it->second.get();
 }
 
-void TcpDeployment::post(NodeId node, std::function<void()> task) {
+void TcpRuntime::post(NodeId node, std::function<void()> task) {
     {
         const std::lock_guard lock(mu_);
         NodeExecutor* ex = find_executor(node);
@@ -101,7 +84,7 @@ void TcpDeployment::post(NodeId node, std::function<void()> task) {
     board_cv_.notify_all();
 }
 
-void TcpDeployment::post_at(NodeId node, TimePoint at, std::function<void()> task) {
+void TcpRuntime::post_at(NodeId node, TimePoint at, std::function<void()> task) {
     // The target loop is owned by its executor thread; hop there first, then
     // schedule. The executor republishes next_due after the slice, so the
     // coordinator learns about the new deadline before it can fast-forward
@@ -116,10 +99,10 @@ void TcpDeployment::post_at(NodeId node, TimePoint at, std::function<void()> tas
     });
 }
 
-void TcpDeployment::executor_loop(NodeExecutor& ex) {
+void TcpRuntime::executor_loop(NodeExecutor& ex) {
     std::unique_lock lock(mu_);
     while (!ex.stopped && !shutdown_) {
-        const TimePoint vnow = vclock_.now();
+        const TimePoint vnow = now();
         if (!ex.inbox.empty() || ex.next_due <= vnow) {
             ex.idle = false;
             std::function<void()> task;
@@ -147,10 +130,12 @@ void TcpDeployment::executor_loop(NodeExecutor& ex) {
     board_cv_.notify_all();
 }
 
-void TcpDeployment::start_threads() {
+void TcpRuntime::start_threads() {
     const std::lock_guard lock(mu_);
     if (threads_started_) return;
     threads_started_ = true;
+    // All listeners exist now (the stack bound them while it was built).
+    transport_.start();
     for (auto& [id, ex] : execs_) {
         ex->next_due = ex->sim.next_due();  // thread not running yet: safe
         NodeExecutor* ptr = ex.get();
@@ -158,15 +143,39 @@ void TcpDeployment::start_threads() {
     }
 }
 
+bool TcpRuntime::run_on(NodeId node, std::function<void()> fn) {
+    bool started = false;
+    {
+        const std::lock_guard lock(mu_);
+        started = threads_started_;
+        const NodeExecutor* ex = find_executor(node);
+        if (started && (ex == nullptr || ex->stopped || shutdown_)) return false;
+    }
+    if (!started) {
+        // Single-threaded still: the executor's loop is not running, so
+        // inline execution is the same serialization.
+        fn();
+        return true;
+    }
+    std::promise<void> done;
+    auto finished = done.get_future();
+    post(node, [&fn, &done] {
+        fn();
+        done.set_value();
+    });
+    finished.wait();
+    return true;
+}
+
 // --- coordinator ------------------------------------------------------------
 
-bool TcpDeployment::quiescent_locked() const {
+bool TcpRuntime::quiescent_locked() const {
     if (inflight_ != 0) return false;
-    const TimePoint vnow = vclock_.now();
+    const TimePoint vnow = now();
     for (const auto& [id, ex] : execs_) {
         if (ex->stopped) continue;
         // An executor with a timer due at (or before) virtual now counts as
-        // busy even while parked: right after an advance_to the coordinator
+        // busy even while parked: right after a time step the coordinator
         // must fall into the condvar wait — releasing the hub mutex so the
         // notified executor can actually run — rather than keep spinning on
         // a not-yet-republished next_due.
@@ -175,7 +184,7 @@ bool TcpDeployment::quiescent_locked() const {
     return true;
 }
 
-TimePoint TcpDeployment::earliest_due_locked() {
+TimePoint TcpRuntime::earliest_due_locked() {
     TimePoint next = driver_.next_due();
     for (const auto& [id, ex] : execs_) {
         if (!ex->stopped) next = std::min(next, ex->next_due);
@@ -183,11 +192,11 @@ TimePoint TcpDeployment::earliest_due_locked() {
     return next;
 }
 
-void TcpDeployment::run_core(bool bounded, TimePoint deadline) {
+void TcpRuntime::run(bool bounded, TimePoint deadline) {
     start_threads();
     std::unique_lock lock(mu_);
     while (!shutdown_) {
-        const TimePoint vnow = vclock_.now();
+        const TimePoint vnow = now();
         // Driver timeline events due now run on this thread, unlocked (they
         // call submit/crash/... which take the hub mutex themselves).
         if (driver_.next_due() <= vnow) {
@@ -207,58 +216,23 @@ void TcpDeployment::run_core(bool bounded, TimePoint deadline) {
         const TimePoint next = earliest_due_locked();
         if (next == sim::Simulation::kNoEvent) break;
         if (bounded && next > deadline) break;
-        vclock_.advance_to(next);
+        vnow_.store(next, std::memory_order_release);
         for (auto& [id, ex] : execs_) {
             if (!ex->stopped) ex->cv.notify_all();
         }
     }
     lock.unlock();
-    if (bounded && vclock_.now() < deadline) vclock_.advance_to(deadline);
+    if (bounded && now() < deadline) vnow_.store(deadline, std::memory_order_release);
     if (bounded) driver_.run_until(deadline);  // clamp the driver clock too
 }
 
-void TcpDeployment::run() { run_core(false, 0); }
+// --- crash & recovery -------------------------------------------------------
 
-void TcpDeployment::run_until(TimePoint deadline) { run_core(true, deadline); }
-
-// --- workload & faults ------------------------------------------------------
-
-void TcpDeployment::submit(int member, Bytes payload) {
-    const std::vector<NodeId> nodes = inner_->nodes_of(member);
-    ensure(!nodes.empty(), "deploy: tcp submit target has no nodes");
-    // nodes_of lists the member's application host first; submission mutates
-    // that node's state, so it runs on that node's executor.
-    post(nodes.front(), [this, member, payload = std::move(payload)]() mutable {
-        inner_->submit(member, std::move(payload));
-    });
-}
-
-bool TcpDeployment::owns_its_hosts(int member) const {
-    std::set<std::uint32_t> others;
-    for (int other = 0; other < inner_->group_size(); ++other) {
-        if (other == member) continue;
-        for (const NodeId node : inner_->nodes_of(other)) others.insert(node.value);
-    }
-    const std::vector<NodeId> mine = inner_->nodes_of(member);
-    return std::none_of(mine.begin(), mine.end(),
-                        [&](NodeId node) { return others.contains(node.value); });
-}
-
-void TcpDeployment::crash(int member) {
-    // Members with dedicated hosts get the real thing: executor teardown plus
-    // frame-dropping at the transport. Members sharing hosts with healthy
-    // members (FS-NewTOP, where app hosts double as pair hosts) keep their
-    // stack's own crash semantics — tearing a shared host down would take
-    // healthy members with it.
-    if (!owns_its_hosts(member)) {
-        inner_->crash(member);
-        return;
-    }
-    const std::vector<NodeId> mine = inner_->nodes_of(member);
-    for (const NodeId node : mine) transport_->isolate(node);
+void TcpRuntime::crash(const std::vector<NodeId>& nodes) {
+    for (const NodeId node : nodes) transport_.isolate(node);
     {
         const std::lock_guard lock(mu_);
-        for (const NodeId node : mine) {
+        for (const NodeId node : nodes) {
             NodeExecutor* ex = find_executor(node);
             if (ex == nullptr) continue;
             ex->stopped = true;
@@ -269,111 +243,36 @@ void TcpDeployment::crash(int member) {
     board_cv_.notify_all();
 }
 
-void TcpDeployment::recover(int member) {
-    // Mirror of crash(): members with dedicated hosts get their frames
-    // re-admitted and their executor threads respawned; shared-host members
-    // (FS-NewTOP) delegate link healing to the wrapped stack.
-    if (owns_its_hosts(member)) {
-        const std::vector<NodeId> mine = inner_->nodes_of(member);
-        for (const NodeId node : mine) transport_->restore(node);
-        // The crashed executors' threads have exited their loops; join them
-        // outside the hub mutex, then reset and respawn.
-        std::vector<std::thread> dead;
-        {
-            const std::lock_guard lock(mu_);
-            for (const NodeId node : mine) {
-                NodeExecutor* ex = find_executor(node);
-                if (ex == nullptr || !ex->stopped) continue;
-                if (ex->thread.joinable()) dead.push_back(std::move(ex->thread));
-            }
-        }
-        for (auto& t : dead) t.join();
-        {
-            const std::lock_guard lock(mu_);
-            for (const NodeId node : mine) {
-                NodeExecutor* ex = find_executor(node);
-                if (ex == nullptr || !ex->stopped) continue;
-                ex->stopped = false;
-                ex->idle = true;
-                ex->inbox.clear();
-                ex->next_due = ex->sim.next_due();
-                if (threads_started_) {
-                    NodeExecutor* ptr = ex;
-                    ex->thread = std::thread([this, ptr] { executor_loop(*ptr); });
-                }
-            }
-        }
-        board_cv_.notify_all();
-    }
-    inner_->recover_links(member);
-    // The rejoin sequence is node-affine and ordered: run each step on its
-    // owning node's executor and wait before the next (replica resets must
-    // land before the join request goes out).
-    for (auto& step : inner_->recover_steps(member)) {
-        run_on_node(step.node, std::move(step.fn));
-    }
-}
-
-bool TcpDeployment::run_on_node(NodeId node, std::function<void()> fn) {
+void TcpRuntime::recover(const std::vector<NodeId>& nodes) {
+    for (const NodeId node : nodes) transport_.restore(node);
+    // The crashed executors' threads have exited their loops; join them
+    // outside the hub mutex, then reset and respawn.
+    std::vector<std::thread> dead;
     {
         const std::lock_guard lock(mu_);
-        if (!threads_started_) {
-            // Single-threaded still: the executor's loop is not running, so
-            // inline execution is the same serialization.
-            if (fn) fn();
-            return true;
+        for (const NodeId node : nodes) {
+            NodeExecutor* ex = find_executor(node);
+            if (ex == nullptr || !ex->stopped) continue;
+            if (ex->thread.joinable()) dead.push_back(std::move(ex->thread));
         }
-        NodeExecutor* ex = find_executor(node);
-        if (ex == nullptr || ex->stopped || shutdown_) return false;
     }
-    std::promise<void> done;
-    auto finished = done.get_future();
-    post(node, [fn = std::move(fn), &done] {
-        if (fn) fn();
-        done.set_value();
-    });
-    finished.wait();
-    return true;
-}
-
-std::optional<AppStateInfo> TcpDeployment::app_state_of(int member) {
-    const std::vector<NodeId> nodes = inner_->nodes_of(member);
-    if (nodes.empty()) return std::nullopt;
-    std::optional<AppStateInfo> info;
-    if (!run_on_node(nodes.front(), [this, member, &info] {
-            info = inner_->app_state_of(member);
-        })) {
-        return std::nullopt;  // member is down
+    for (auto& t : dead) t.join();
+    {
+        const std::lock_guard lock(mu_);
+        for (const NodeId node : nodes) {
+            NodeExecutor* ex = find_executor(node);
+            if (ex == nullptr || !ex->stopped) continue;
+            ex->stopped = false;
+            ex->idle = true;
+            ex->inbox.clear();
+            ex->next_due = ex->sim.next_due();
+            if (threads_started_) {
+                NodeExecutor* ptr = ex;
+                ex->thread = std::thread([this, ptr] { executor_loop(*ptr); });
+            }
+        }
     }
-    return info;
-}
-
-bool TcpDeployment::inject_fault(const FaultInjection& fault) {
-    const std::optional<NodeId> home = inner_->fault_home(fault);
-    if (!home) return inner_->inject_fault(fault);
-    // The plan mutates Fso state owned by that node's loop; apply it there.
-    post(*home, [this, fault] { inner_->inject_fault(fault); });
-    return true;
-}
-
-bool TcpDeployment::fire_timeouts() {
-    if (!inner_->has_liveness_timeouts()) return false;
-    for (int member = 0; member < inner_->group_size(); ++member) {
-        const std::vector<NodeId> nodes = inner_->nodes_of(member);
-        if (nodes.empty()) continue;
-        // Crashed members' executors drop the post: dead replicas do not
-        // fire view changes.
-        post(nodes.front(), [this, member] { inner_->fire_timeouts_member(member); });
-    }
-    return true;
-}
-
-void TcpDeployment::stop_perpetual() {
-    for (int member = 0; member < inner_->group_size(); ++member) {
-        const std::vector<NodeId> nodes = inner_->nodes_of(member);
-        if (nodes.empty()) continue;
-        post(nodes.front(), [this, member] { inner_->stop_perpetual_member(member); });
-    }
+    board_cv_.notify_all();
 }
 
 }  // namespace failsig::deploy

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -371,6 +372,14 @@ void TcpTransport::deliver(Message msg, bool from_wire) {
         return;
     }
     const NodeId dst_node = msg.dst.node;
+    TimePoint due = now + route->surge;
+    if (timed && from_wire) {
+        // A wire frame is never due before its link's previous one, so the
+        // end of a surge cannot reorder a link. Same-node frames never surge.
+        TimePoint& last = last_due_[pair_key(msg.src.node, dst_node)];
+        due = std::max(due, last);
+        last = due;
+    }
     auto task = [this, handler = std::move(handler), msg = std::move(msg)]() mutable {
         {
             std::lock_guard lk(stats_mu_);
@@ -378,8 +387,8 @@ void TcpTransport::deliver(Message msg, bool from_wire) {
         }
         handler(msg);
     };
-    if (timed && route->surge > 0) {
-        hooks_.post_at(dst_node, now + route->surge, std::move(task));
+    if (timed && due > now) {
+        hooks_.post_at(dst_node, due, std::move(task));
     } else {
         hooks_.post(dst_node, std::move(task));
     }

@@ -16,10 +16,10 @@
 //    destination node's executor via the host hooks;
 //  * lazy per-directed-pair connections on first send, with bounded
 //    backoff-retry, established from the sending node's executor thread —
-//    TCP's stream order then keeps each link FIFO outside a delay surge. A
-//    surged frame is posted at now + extra with no per-link clamp, so a
-//    frame admitted just after a surge ends can overtake one admitted just
-//    before (the simulator clamps);
+//    TCP's stream order keeps each link FIFO on the wire, and the reactor
+//    keeps it FIFO across a delay surge: a frame is never due before its
+//    link's previous one, so a frame admitted just after a surge ends waits
+//    behind one admitted just before (the simulator clamps the same way);
 //  * same-node traffic short-circuits the socket layer: a replica handing
 //    a committed request to its own application sink is an in-process
 //    upcall, exempt from partitions, random drop and surges as on the
@@ -145,6 +145,9 @@ private:
     std::atomic<bool> stopping_{false};
     std::atomic<bool> closed_{false};
     std::unordered_map<int, FrameReader> streams_;  // accepted fd -> parser
+    /// Latest due time handed out per directed link (src<<32|dst): the FIFO
+    /// clamp. Only the reactor delivers wire frames, so it needs no lock.
+    std::unordered_map<std::uint64_t, TimePoint> last_due_;
 };
 
 }  // namespace failsig::net

@@ -11,7 +11,7 @@ Obs::Obs(const ObsConfig& config)
       verify_us_(metrics_.histogram("crypto.verify_us")),
       holdback_depth_hist_(metrics_.histogram("gc.holdback_depth")) {}
 
-TimePoint Obs::now() const { return clock_ != nullptr ? clock_->now() : 0; }
+TimePoint Obs::now() const { return sim_ != nullptr ? sim_->now() : 0; }
 
 void Obs::span(Stage stage, std::span<const std::uint8_t> payload, int member) {
     const TimePoint at = now();

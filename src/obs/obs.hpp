@@ -18,14 +18,16 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "common/bytes.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/span.hpp"
-#include "time/clock.hpp"
+
+namespace failsig::sim {
+class Simulation;
+}  // namespace failsig::sim
 
 namespace failsig::obs {
 
@@ -42,23 +44,10 @@ class Obs {
 public:
     explicit Obs(const ObsConfig& config = {});
 
-    /// Binds the time source. Deployments own their clock, so the deploy
-    /// adapters bind during construction — stamps only read now() at event
-    /// time, never before. The clock must outlive this context.
-    void bind(const time::Clock* clock) {
-        owned_sim_clock_.reset();
-        clock_ = clock;
-    }
-    /// Convenience overload for the sim backends: wraps the Simulation in an
-    /// owned SimClock.
-    void bind(const sim::Simulation* sim) {
-        if (sim == nullptr) {
-            bind(static_cast<const time::Clock*>(nullptr));
-            return;
-        }
-        owned_sim_clock_.emplace(*sim);
-        clock_ = &*owned_sim_clock_;
-    }
+    /// Binds the time source: the deployment binds its Simulation during
+    /// construction — stamps only read now() at event time, never before.
+    /// The Simulation must stay alive while anything stamps.
+    void bind(const sim::Simulation* sim) { sim_ = sim; }
     [[nodiscard]] TimePoint now() const;
 
     [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
@@ -99,8 +88,7 @@ public:
     [[nodiscard]] std::string metrics_json(const std::string& scenario) const;
 
 private:
-    const time::Clock* clock_{nullptr};
-    std::optional<time::SimClock> owned_sim_clock_;
+    const sim::Simulation* sim_{nullptr};
     MetricsRegistry metrics_;
     SpanTracker spans_;
     FlightRecorder flight_;

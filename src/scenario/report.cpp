@@ -194,60 +194,6 @@ std::string to_json(const std::vector<ScenarioReport>& reports) {
     return w.take() + "\n";
 }
 
-std::string to_csv(const std::vector<ScenarioReport>& reports) {
-    std::string out =
-        "scenario,system,group_size,seed,seed_axis,seed_index,"
-        "mean_latency_ms,p95_latency_ms,throughput_msg_s,"
-        "network_messages,network_bytes,messages_sent,observed_deliveries,expected_deliveries,"
-        "views_installed,fail_signal_events,"
-        "requests_submitted,requests_batched,batches_formed,flushes_on_deadline,"
-        "invariants_passed,status\n";
-    for (const auto& report : reports) {
-        const auto& s = report.scenario;
-        const auto& m = report.metrics;
-        // Names and skip reasons are free text (scenario authors and fourth
-        // systems supply them); keep the row's column and line structure
-        // intact without CSV quoting, and never bound the row length — only
-        // the numeric middle goes through a fixed snprintf buffer.
-        const auto csv_field = [](std::string text) {
-            for (char& c : text) {
-                if (c == ',') c = ';';
-                if (c == '\n' || c == '\r') c = ' ';
-            }
-            return text;
-        };
-        const std::string name = csv_field(s.name);
-        const std::string status =
-            csv_field(report.skipped ? "skipped(" + report.skip_reason + ")" : "ok");
-        const std::uint64_t seed_axis =
-            report.from_sweep ? report.seed_axis : static_cast<std::uint64_t>(s.seed);
-        const std::uint64_t seed_index = report.from_sweep ? report.seed_index : 0;
-        char nums[512];
-        std::snprintf(nums, sizeof nums,
-                      "%d,%" PRIu64 ",%" PRIu64 ",%" PRIu64
-                      ",%.3f,%.3f,%.2f,%" PRIu64 ",%" PRIu64 ",%" PRIu64
-                      ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-                      ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64,
-                      s.group_size, static_cast<std::uint64_t>(s.seed), seed_axis, seed_index,
-                      m.mean_latency_ms, m.p95_latency_ms,
-                      m.throughput_msg_s, m.network_messages, m.network_bytes, m.messages_sent,
-                      m.observed_deliveries, m.expected_deliveries, m.views_installed,
-                      m.fail_signal_events, m.requests_submitted, m.requests_batched,
-                      m.batches_formed, m.flushes_on_deadline);
-        out += name;
-        out += ",";
-        out += name_of(s.system);
-        out += ",";
-        out += nums;
-        out += ",";
-        out += report.skipped ? "n/a" : (report.all_invariants_passed() ? "yes" : "no");
-        out += ",";
-        out += status;
-        out += "\n";
-    }
-    return out;
-}
-
 std::string metrics_document(const std::vector<ScenarioReport>& reports) {
     // Hand-assembled rather than JsonWriter-built: each per-run snapshot is
     // already a complete JSON object and must be embedded verbatim, byte for

@@ -2,9 +2,8 @@
 //
 // One format for everything downstream: the scenario_runner example, the
 // figure/ablation benches (--out), and future CI regression gates all emit
-// the same JSON (machine) and CSV (spreadsheet) renderings of
-// `ScenarioReport`s, so a result file is comparable no matter which binary
-// produced it.
+// the same JSON rendering of `ScenarioReport`s, so a result file is
+// comparable no matter which binary produced it.
 #pragma once
 
 #include <string>
@@ -49,9 +48,6 @@ private:
 /// Full machine-readable report: scenario spec summary, metrics, invariant
 /// verdicts. The trace itself is summarised (event count), not inlined.
 std::string to_json(const std::vector<ScenarioReport>& reports);
-
-/// One row per report; header included.
-std::string to_csv(const std::vector<ScenarioReport>& reports);
 
 /// Writes `content` to `path`; returns false (and prints to stderr) on I/O
 /// failure.

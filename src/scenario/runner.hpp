@@ -10,7 +10,7 @@
 // fourth system needs a deployment class, not engine edits. `run_sweep`
 // crosses systems x group sizes x seeds over a base scenario — the shape
 // every figure bench and regression gate consumes (see scenario/report.hpp
-// for the JSON/CSV output) — executing independent cells on a worker pool
+// for the JSON output) — executing independent cells on a worker pool
 // (`jobs`) while keeping the report byte-identical to a serial run.
 #pragma once
 
@@ -42,7 +42,7 @@ struct ScenarioMetrics {
     TimePoint finished_at{0};  ///< simulated time when the run stopped
     // Batching pipeline (see common/batch.hpp): requests entering the
     // submit path, requests that left inside batch frames, ordered units
-    // formed, and deadline-triggered flushes. Serialized into the JSON/CSV
+    // formed, and deadline-triggered flushes. Serialized into the JSON
     // reports — sweeps plot delivered-requests-per-round against offered
     // load × batch size from these columns.
     std::uint64_t requests_submitted{0};
@@ -52,7 +52,7 @@ struct ScenarioMetrics {
     // Zero-copy plane accounting (see net::SimNetwork): bytes actually
     // materialized vs logical wire bytes, and distinct body encodes. These
     // feed the perf-regression bench; they are deliberately NOT serialized
-    // into the JSON/CSV reports, whose byte layout is a compatibility
+    // into the JSON reports, whose byte layout is a compatibility
     // surface for diff-based regression gates.
     std::uint64_t payload_bytes_copied{0};
     std::uint64_t payload_bodies_encoded{0};
@@ -72,7 +72,7 @@ struct ScenarioReport {
     /// checkpoints taken, PBFT log slots truncated/retained, state transfers
     /// served, rejoins completed, flush-log evictions/gaps. All zero on runs
     /// without a checkpoint interval or recovery events. Like the zero-copy
-    /// counters, deliberately NOT serialized into JSON/CSV reports — the
+    /// counters, deliberately NOT serialized into JSON reports — the
     /// perf-regression bench gates on them through its own tables.
     deploy::RecoveryStats recovery;
     /// Sweep cells below a system's group-size floor are recorded, not run:
@@ -87,7 +87,7 @@ struct ScenarioReport {
     std::uint64_t seed_index{0};
 
     // Observability artifacts, filled only when `scenario.obs.enabled`.
-    // Deliberately NOT serialized by to_json/to_csv (the report byte layout
+    // Deliberately NOT serialized by to_json (the report byte layout
     // is a compatibility surface); callers write them to separate files
     // (--metrics-out, violation flight dumps).
     /// "failsig-metrics-v1" snapshot (see obs::MetricsRegistry::to_json).

@@ -157,7 +157,7 @@ struct Scenario {
 
     /// Observability (src/obs): when enabled, the run collects lifecycle
     /// spans, metrics and a per-node flight recorder. Off by default — and
-    /// deliberately excluded from the JSON/CSV report surface, so enabling
+    /// deliberately excluded from the JSON report surface, so enabling
     /// it never perturbs report bytes.
     obs::ObsConfig obs{};
 

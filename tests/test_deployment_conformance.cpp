@@ -146,9 +146,8 @@ TEST_P(DeploymentConformance, FactoryBuildsAndExposesTopology) {
     for (int i = 0; i < d->group_size(); ++i) {
         EXPECT_FALSE(d->nodes_of(i).empty()) << "member " << i;
     }
-    // Clock, transport and fault plane are reachable through the interface.
+    // Time, transport and fault plane are reachable through the interface.
     EXPECT_EQ(d->now(), 0);
-    EXPECT_EQ(d->clock().now(), 0);
     EXPECT_EQ(d->network().messages_sent(), 0u);
 }
 
@@ -159,6 +158,19 @@ TEST_P(DeploymentConformance, FactoryEnforcesTheSystemsGroupSizeFloor) {
         DeploymentSpec small = spec(false);
         small.group_size = traits.min_group_size - 1;
         EXPECT_THROW(make_deployment(system(), small), std::logic_error);
+    }
+}
+
+TEST_P(DeploymentConformance, TracingIsRejectedOnRealSockets) {
+    // Obs stamps read one deterministic clock; real sockets run one event
+    // loop per node, so the factory refuses instead of tracing nothing.
+    obs::Obs obs;
+    DeploymentSpec traced = spec(false);
+    traced.obs = &obs;
+    if (backend() == Backend::kTcp) {
+        EXPECT_THROW(make_deployment(system(), traced), std::logic_error);
+    } else {
+        EXPECT_NE(make_deployment(system(), traced), nullptr);
     }
 }
 
@@ -416,6 +428,21 @@ TEST_P(DeploymentConformance, CrashRecoverRejoinConvergesToSurvivorState) {
     EXPECT_GE(stats.rejoins_completed, 1u) << name_of(kind);
     EXPECT_GT(stats.checkpoints_taken, 0u) << name_of(kind);
     EXPECT_EQ(stats.flush_eviction_gaps, 0u) << name_of(kind);
+}
+
+TEST_P(DeploymentConformance, DestroyingABusyDeploymentStopsEveryNodeFirst) {
+    // Teardown mid-traffic: every node must stop before the stack's objects
+    // die. On TCP the executors are still working through the submissions
+    // when the deployment is destroyed, so a stack object freed first would
+    // be used after free (ASan reports it). Suspectors keep NewTOP's nodes
+    // busy too.
+    for (int round = 0; round < 20; ++round) {
+        const auto d = deployment(true);
+        d->run_until(100 * kMillisecond);
+        for (int i = 0; i < d->group_size(); ++i) {
+            d->submit(i, tagged_payload(static_cast<std::uint32_t>(i), 0));
+        }
+    }
 }
 
 TEST_P(DeploymentConformance, CapabilityHooksReportTheirAbsenceInsteadOfActing) {

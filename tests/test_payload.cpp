@@ -314,7 +314,6 @@ TEST(ZeroCopyPlane, SweepReportsByteIdenticalAcrossJobCounts) {
     const auto parallel = scenario::run_sweep(spec);
 
     EXPECT_EQ(scenario::to_json(serial), scenario::to_json(parallel));
-    EXPECT_EQ(scenario::to_csv(serial), scenario::to_csv(parallel));
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         EXPECT_EQ(serial[i].trace.canonical(), parallel[i].trace.canonical()) << i;

@@ -4,9 +4,9 @@
 // read loop, so it is fuzzed the way an adversarial or corrupt peer would
 // exercise it: garbage streams, truncation at every offset, and hostile
 // length fields. Finally, the published ephemeral-port directory of real
-// TcpDeployments is checked — concurrent deployments must never collide —
-// and so are TcpTransport's copy counters and delay-surge routing over real
-// sockets.
+// TCP-backend deployments is checked — concurrent deployments must never
+// collide — and so are TcpTransport's copy counters, delay-surge routing and
+// per-link FIFO order across a surge's end over real sockets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +21,6 @@
 
 #include "common/rng.hpp"
 #include "deploy/deployment.hpp"
-#include "deploy/tcp.hpp"
 #include "net/endpoint_map.hpp"
 #include "net/frame.hpp"
 #include "net/tcp_transport.hpp"
@@ -229,8 +228,8 @@ TEST(EndpointMap, ConcurrentTcpDeploymentsPublishDisjointEphemeralPorts) {
     const auto b = deploy::make_deployment(deploy::SystemKind::kNewTop, spec);
 
     std::set<std::uint16_t> ports;
-    for (const auto* d : {a.get(), b.get()}) {
-        const auto* tcp = dynamic_cast<const deploy::TcpDeployment*>(d);
+    for (auto* d : {a.get(), b.get()}) {
+        const auto* tcp = dynamic_cast<const TcpTransport*>(&d->network());
         ASSERT_NE(tcp, nullptr);
         EXPECT_GE(tcp->endpoints().size(), 3u);
         for (const auto& [node, addr] : tcp->endpoints().entries()) {
@@ -334,6 +333,62 @@ TEST(TcpTransport, DelaySurgeSlowsOnlyAsyncLinks) {
     EXPECT_EQ(route_of[same_node.node.value], "post") << "same-node upcall";
     EXPECT_EQ(route_of[lan_peer.node.value], "post") << "LAN pair link";
     EXPECT_EQ(route_of[async_peer.node.value], "post_at") << "async link";
+}
+
+TEST(TcpTransport, SurgeEndNeverReordersALink) {
+    // A frame sent during a surge is due at the surge's extra delay; a frame
+    // sent on the same link after the surge has ended must not be due
+    // before it, or it would overtake it (the simulator clamps each link the
+    // same way). The hooks record the virtual time each frame is due at.
+    std::atomic<TimePoint> vnow{0};
+    std::mutex mu;
+    std::vector<TimePoint> due;  // in delivery-hook order
+    TcpTransport::Hooks hooks;
+    hooks.post = [&](NodeId, std::function<void()> task) {
+        {
+            const std::lock_guard lock(mu);
+            due.push_back(vnow.load());
+        }
+        task();
+    };
+    hooks.post_at = [&](NodeId, TimePoint at, std::function<void()> task) {
+        {
+            const std::lock_guard lock(mu);
+            due.push_back(at);
+        }
+        task();
+    };
+    hooks.now = [&] { return vnow.load(); };
+    TcpTransport transport(std::move(hooks), Rng(11));
+    const Endpoint src{NodeId{1}, PortId{0}};
+    const Endpoint dst{NodeId{2}, PortId{0}};
+    transport.bind(src, [](const Message&) {});
+    transport.bind(dst, [](const Message&) {});
+    transport.start();
+    const auto wait_for = [&](std::size_t count) {
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        for (;;) {
+            {
+                const std::lock_guard lock(mu);
+                if (due.size() >= count || std::chrono::steady_clock::now() > deadline) {
+                    return due.size();
+                }
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    };
+
+    transport.faults().delay_surge(1 * kSecond, 500 * kMillisecond);
+    transport.send(src, dst, Bytes{1});  // surged: due at 1 s
+    ASSERT_EQ(wait_for(1), 1u);
+    vnow.store(600 * kMillisecond);      // past the surge
+    transport.send(src, dst, Bytes{2});  // unsurged, but behind the first
+    ASSERT_EQ(wait_for(2), 2u);
+    transport.close();
+
+    const std::lock_guard lock(mu);
+    EXPECT_EQ(due[0], 1 * kSecond);
+    EXPECT_GE(due[1], due[0]) << "the post-surge frame overtakes the surged one";
 }
 
 }  // namespace
