@@ -6,160 +6,6 @@
 
 namespace failsig::baseline {
 
-// ---------------------------------------------------------------------------
-// Codecs
-// ---------------------------------------------------------------------------
-
-std::size_t ClientRequest::wire_size() const { return 4 + 8 + 4 + payload.size(); }
-
-Bytes ClientRequest::encode() const {
-    ByteWriter w;
-    w.reserve(wire_size());
-    w.u32(origin);
-    w.u64(origin_seq);
-    w.bytes(payload);
-    return w.take();
-}
-
-Result<ClientRequest> ClientRequest::decode(std::span<const std::uint8_t> data) {
-    try {
-        ByteReader r(data);
-        ClientRequest req;
-        req.origin = r.u32();
-        req.origin_seq = r.u64();
-        req.payload = r.bytes();
-        if (!r.done()) return Result<ClientRequest>::err("trailing bytes");
-        return req;
-    } catch (const std::out_of_range&) {
-        return Result<ClientRequest>::err("truncated ClientRequest");
-    }
-}
-
-std::size_t PbftMessage::wire_size() const {
-    return 1 + 4 + 8 + 8 + (4 + digest.size()) + (4 + request.wire_size());
-}
-
-Bytes PbftMessage::encode() const {
-    ByteWriter w;
-    w.reserve(wire_size());
-    w.u8(static_cast<std::uint8_t>(kind));
-    w.u32(sender);
-    w.u64(view);
-    w.u64(seq);
-    w.bytes(digest);
-    w.bytes(request.encode());
-    return w.take();
-}
-
-Result<PbftMessage> PbftMessage::decode(std::span<const std::uint8_t> data) {
-    try {
-        ByteReader r(data);
-        PbftMessage m;
-        const auto kind_raw = r.u8();
-        if (kind_raw < 1 || kind_raw > 8) return Result<PbftMessage>::err("bad PbftKind");
-        m.kind = static_cast<PbftKind>(kind_raw);
-        m.sender = r.u32();
-        m.view = r.u64();
-        m.seq = r.u64();
-        m.digest = r.bytes();
-        const Bytes req_wire = r.bytes();
-        auto req = ClientRequest::decode(req_wire);
-        if (!req.has_value()) return Result<PbftMessage>::err(req.error().message);
-        m.request = std::move(req).value();
-        if (!r.done()) return Result<PbftMessage>::err("trailing bytes");
-        return m;
-    } catch (const std::out_of_range&) {
-        return Result<PbftMessage>::err("truncated PbftMessage");
-    }
-}
-
-std::size_t PbftDelivery::wire_size() const { return 8 + 4 + request.wire_size(); }
-
-Bytes PbftDelivery::encode() const {
-    ByteWriter w;
-    w.reserve(wire_size());
-    w.u64(seq);
-    w.bytes(request.encode());
-    return w.take();
-}
-
-Result<PbftDelivery> PbftDelivery::decode(std::span<const std::uint8_t> data) {
-    try {
-        ByteReader r(data);
-        PbftDelivery d;
-        d.seq = r.u64();
-        const Bytes req_wire = r.bytes();
-        auto req = ClientRequest::decode(req_wire);
-        if (!req.has_value()) return Result<PbftDelivery>::err(req.error().message);
-        d.request = std::move(req).value();
-        return d;
-    } catch (const std::out_of_range&) {
-        return Result<PbftDelivery>::err("truncated PbftDelivery");
-    }
-}
-
-std::size_t RecoveryState::wire_size() const {
-    std::size_t size = 8 + 8 + 8 + (4 + app_snapshot.size()) + 4;
-    for (const auto& [seq, req] : suffix) size += 8 + 4 + req.wire_size();
-    return size;
-}
-
-Bytes RecoveryState::encode() const {
-    ByteWriter w;
-    w.reserve(wire_size());
-    w.u64(view);
-    w.u64(snapshot_watermark);
-    w.u64(last_delivered);
-    w.bytes(app_snapshot);
-    w.u32(static_cast<std::uint32_t>(suffix.size()));
-    for (const auto& [seq, req] : suffix) {
-        w.u64(seq);
-        w.bytes(req.encode());
-    }
-    return w.take();
-}
-
-Result<RecoveryState> RecoveryState::decode(std::span<const std::uint8_t> data) {
-    try {
-        ByteReader r(data);
-        RecoveryState st;
-        st.view = r.u64();
-        st.snapshot_watermark = r.u64();
-        st.last_delivered = r.u64();
-        if (st.snapshot_watermark > st.last_delivered) {
-            return Result<RecoveryState>::err("watermark past last_delivered");
-        }
-        st.app_snapshot = r.bytes();
-        const auto count = r.u32();
-        // The suffix spans one checkpoint window of committed requests;
-        // anything past this bound is a corrupt frame.
-        if (count > 65536) return Result<RecoveryState>::err("implausible suffix count");
-        if (count != st.last_delivered - st.snapshot_watermark) {
-            return Result<RecoveryState>::err("suffix count does not cover (S, W]");
-        }
-        st.suffix.reserve(count);
-        std::uint64_t expect = st.snapshot_watermark + 1;
-        for (std::uint32_t i = 0; i < count; ++i) {
-            const auto seq = r.u64();
-            if (seq != expect) return Result<RecoveryState>::err("non-contiguous suffix");
-            ++expect;
-            auto req = ClientRequest::decode(r.bytes());
-            if (!req.has_value()) {
-                return Result<RecoveryState>::err("bad suffix request: " + req.error().message);
-            }
-            st.suffix.emplace_back(seq, std::move(req).value());
-        }
-        if (!r.done()) return Result<RecoveryState>::err("trailing bytes in RecoveryState");
-        return st;
-    } catch (const std::out_of_range&) {
-        return Result<RecoveryState>::err("truncated RecoveryState");
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Replica
-// ---------------------------------------------------------------------------
-
 PbftReplica::PbftReplica(PbftConfig config) : cfg_(std::move(config)) {
     ensure(cfg_.n >= 4, "PBFT baseline needs n >= 4 (3f+1 with f >= 1)");
     app_ = app::KvStore(cfg_.checkpoint_interval);

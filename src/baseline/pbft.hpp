@@ -22,6 +22,7 @@
 #include <utility>
 
 #include "app/kv_store.hpp"
+#include "common/wire.hpp"
 #include "fs/servant.hpp"
 #include "fs/service.hpp"
 #include "obs/obs.hpp"
@@ -47,10 +48,20 @@ struct ClientRequest {
     std::uint64_t origin_seq{0};
     Bytes payload;
 
+    /// The wire layout (see common/wire.hpp).
+    template <typename IO, typename M>
+    [[gnu::always_inline]] static void fields(IO& io, M& m) {
+        io.u32(m.origin);
+        io.u64(m.origin_seq);
+        io.bytes(m.payload);
+    }
+
     /// Exact encoded size; hot encoders reserve() this up front.
-    [[nodiscard]] std::size_t wire_size() const;
-    [[nodiscard]] Bytes encode() const;
-    static Result<ClientRequest> decode(std::span<const std::uint8_t> data);
+    [[nodiscard]] std::size_t wire_size() const { return wire::size(*this); }
+    [[nodiscard]] Bytes encode() const { return wire::encode(*this); }
+    static Result<ClientRequest> decode(std::span<const std::uint8_t> data) {
+        return wire::decode<ClientRequest>(data);
+    }
     friend bool operator==(const ClientRequest&, const ClientRequest&) = default;
 };
 
@@ -62,9 +73,23 @@ struct PbftMessage {
     Bytes digest;            ///< MD5 of the request (binds phases together)
     ClientRequest request;   ///< carried in pre-prepare only
 
-    [[nodiscard]] std::size_t wire_size() const;
-    [[nodiscard]] Bytes encode() const;
-    static Result<PbftMessage> decode(std::span<const std::uint8_t> data);
+    template <typename IO, typename M>
+    [[gnu::always_inline]] static void fields(IO& io, M& m) {
+        io.u8(m.kind);
+        io.check(m.kind >= PbftKind::kPrePrepare && m.kind <= PbftKind::kStateReply,
+                 "bad PbftKind");
+        io.u32(m.sender);
+        io.u64(m.view);
+        io.u64(m.seq);
+        io.bytes(m.digest);
+        io.nested(m.request);
+    }
+
+    [[nodiscard]] std::size_t wire_size() const { return wire::size(*this); }
+    [[nodiscard]] Bytes encode() const { return wire::encode(*this); }
+    static Result<PbftMessage> decode(std::span<const std::uint8_t> data) {
+        return wire::decode<PbftMessage>(data);
+    }
 };
 
 struct PbftConfig {
@@ -98,9 +123,30 @@ struct RecoveryState {
     /// Committed requests for (S, W], ascending by sequence.
     std::vector<std::pair<std::uint64_t, ClientRequest>> suffix;
 
-    [[nodiscard]] std::size_t wire_size() const;
-    [[nodiscard]] Bytes encode() const;
-    static Result<RecoveryState> decode(std::span<const std::uint8_t> data);
+    template <typename IO, typename M>
+    [[gnu::always_inline]] static void fields(IO& io, M& m) {
+        io.u64(m.view);
+        io.u64(m.snapshot_watermark);
+        io.u64(m.last_delivered);
+        io.check(m.snapshot_watermark <= m.last_delivered, "watermark past last_delivered");
+        io.bytes(m.app_snapshot);
+        std::uint64_t next = m.snapshot_watermark + 1;
+        // The suffix spans one checkpoint window of committed requests;
+        // anything past this bound is a corrupt frame.
+        io.list(m.suffix, 65536, "implausible suffix count", [&](auto& entry) {
+            io.u64(entry.first);
+            io.check(entry.first == next++, "non-contiguous suffix");
+            io.nested(entry.second);
+        });
+        io.check(m.suffix.size() == m.last_delivered - m.snapshot_watermark,
+                 "suffix count does not cover (S, W]");
+    }
+
+    [[nodiscard]] std::size_t wire_size() const { return wire::size(*this); }
+    [[nodiscard]] Bytes encode() const { return wire::encode(*this); }
+    static Result<RecoveryState> decode(std::span<const std::uint8_t> data) {
+        return wire::decode<RecoveryState>(data);
+    }
     friend bool operator==(const RecoveryState&, const RecoveryState&) = default;
 };
 
@@ -109,9 +155,17 @@ struct PbftDelivery {
     std::uint64_t seq{0};
     ClientRequest request;
 
-    [[nodiscard]] std::size_t wire_size() const;
-    [[nodiscard]] Bytes encode() const;
-    static Result<PbftDelivery> decode(std::span<const std::uint8_t> data);
+    template <typename IO, typename M>
+    [[gnu::always_inline]] static void fields(IO& io, M& m) {
+        io.u64(m.seq);
+        io.nested(m.request);
+    }
+
+    [[nodiscard]] std::size_t wire_size() const { return wire::size(*this); }
+    [[nodiscard]] Bytes encode() const { return wire::encode(*this); }
+    static Result<PbftDelivery> decode(std::span<const std::uint8_t> data) {
+        return wire::decode<PbftDelivery>(data);
+    }
 };
 
 class PbftReplica final : public fs::DeterministicService {
@@ -130,10 +184,6 @@ public:
 
     /// Replicated application state (driven by the delivery path).
     [[nodiscard]] const app::KvStore& app() const { return app_; }
-    /// Stable checkpoint watermark (sequences <= this are truncated).
-    [[nodiscard]] std::uint64_t stable_checkpoint() const { return stable_checkpoint_; }
-    /// Current ordered-log occupancy.
-    [[nodiscard]] std::size_t slots_live() const { return slots_.size(); }
     /// High-water mark of `slots_` occupancy — the boundedness witness: with
     /// checkpointing on, sustained load keeps this under a small multiple of
     /// the checkpoint interval instead of growing with the run.

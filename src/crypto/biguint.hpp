@@ -43,7 +43,6 @@ public:
     [[nodiscard]] std::uint64_t limb(std::size_t i) const {
         return i < limbs_.size() ? limbs_[i] : 0;
     }
-    [[nodiscard]] std::uint64_t low_u64() const { return limb(0); }
 
     friend bool operator==(const BigUint& a, const BigUint& b) { return a.limbs_ == b.limbs_; }
     friend std::strong_ordering operator<=>(const BigUint& a, const BigUint& b);

@@ -14,13 +14,14 @@ Endpoint decode_endpoint(ByteReader& r) {
     return e;
 }
 
-Bytes encode_frame(Endpoint src, Endpoint dst, std::span<const std::uint8_t> payload) {
+Bytes encode_frame(Endpoint src, Endpoint dst, const Payload& payload) {
     ByteWriter w;
     w.reserve(4 + 2 * kEndpointWireBytes + payload.size());
     w.u32(static_cast<std::uint32_t>(2 * kEndpointWireBytes + payload.size()));
     encode_endpoint(w, src);
     encode_endpoint(w, dst);
-    w.raw(payload);
+    w.raw(payload.prefix());
+    w.raw(payload.body());
     return w.take();
 }
 

@@ -18,6 +18,7 @@
 #include <optional>
 
 #include "common/bytes.hpp"
+#include "common/payload.hpp"
 #include "common/result.hpp"
 #include "common/types.hpp"
 
@@ -41,8 +42,9 @@ inline constexpr std::size_t kEndpointWireBytes = 8;
 void encode_endpoint(ByteWriter& w, Endpoint e);
 Endpoint decode_endpoint(ByteReader& r);
 
-/// Encodes one frame, length prefix included.
-Bytes encode_frame(Endpoint src, Endpoint dst, std::span<const std::uint8_t> payload);
+/// Encodes one frame, length prefix included; the payload's prefix and body
+/// are written straight into the frame.
+Bytes encode_frame(Endpoint src, Endpoint dst, const Payload& payload);
 
 /// Decodes one complete frame body (the bytes after the length prefix).
 Result<Frame> decode_frame_body(std::span<const std::uint8_t> body);

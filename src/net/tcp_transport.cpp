@@ -28,17 +28,6 @@ std::uint64_t pair_key(NodeId src, NodeId dst) {
                              std::strerror(errno));
 }
 
-Bytes frame_of(Endpoint src, Endpoint dst, const Payload& payload) {
-    ByteWriter w;
-    w.reserve(4 + 2 * kEndpointWireBytes + payload.size());
-    w.u32(static_cast<std::uint32_t>(2 * kEndpointWireBytes + payload.size()));
-    encode_endpoint(w, src);
-    encode_endpoint(w, dst);
-    w.raw(payload.prefix());
-    w.raw(payload.body());
-    return w.take();
-}
-
 }  // namespace
 
 TcpTransport::TcpTransport(Hooks hooks, Rng rng) : hooks_(std::move(hooks)), rng_(rng) {
@@ -238,7 +227,7 @@ void TcpTransport::send(Endpoint src, Endpoint dst, Payload payload) {
         return;
     }
 
-    const Bytes frame = frame_of(src, dst, payload);
+    const Bytes frame = encode_frame(src, dst, payload);
     std::shared_ptr<Conn> conn;
     {
         std::lock_guard lk(conn_mu_);

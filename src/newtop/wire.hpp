@@ -6,6 +6,7 @@
 
 #include "common/bytes.hpp"
 #include "common/result.hpp"
+#include "common/wire.hpp"
 #include "newtop/types.hpp"
 
 namespace failsig::newtop {
@@ -23,6 +24,15 @@ enum class GcKind : std::uint8_t {
     kJoinRequest = 9,  ///< rejoining member asks the survivors for readmission
     kJoinGrant = 10,   ///< survivor -> joiner: protocol positions + app state
 };
+
+/// The kinds and service classes a decoder accepts.
+inline bool valid(GcKind k) {
+    const int v = static_cast<int>(k);
+    return v >= 1 && v <= 10 && v != 5 && v != 6;
+}
+inline bool valid(ServiceType s) {
+    return s >= ServiceType::kSymmetricTotalOrder && s <= ServiceType::kUnreliableMulticast;
+}
 
 /// One GC-to-GC protocol message. A single struct with optional fields keeps
 /// the codec simple; `kind` says which fields are meaningful.
@@ -56,10 +66,31 @@ struct GcMessage {
     std::uint64_t view_id{0};
     std::vector<MemberId> view_members;
 
+    /// The wire layout (see common/wire.hpp).
+    template <typename IO, typename M>
+    [[gnu::always_inline]] static void fields(IO& io, M& m) {
+        io.u8(m.kind);
+        io.check(valid(m.kind), "bad GcKind");
+        io.u32(m.sender);
+        io.u64(m.stream_seq);
+        io.u8(m.service);
+        io.check(valid(m.service), "bad ServiceType");
+        io.u64(m.sender_seq);
+        io.u64(m.lamport_ts);
+        io.bytes(m.payload);
+        io.list(m.vector_clock, 4096, "implausible vector clock", [&](auto& v) { io.u64(v); });
+        io.u64(m.global_seq);
+        io.u32(m.origin);
+        io.u64(m.view_id);
+        io.list(m.view_members, 4096, "implausible view size", [&](auto& v) { io.u32(v); });
+    }
+
     /// Exact encoded size; hot encoders reserve() this up front.
-    [[nodiscard]] std::size_t wire_size() const;
-    [[nodiscard]] Bytes encode() const;
-    static Result<GcMessage> decode(std::span<const std::uint8_t> data);
+    [[nodiscard]] std::size_t wire_size() const { return wire::size(*this); }
+    [[nodiscard]] Bytes encode() const { return wire::encode(*this); }
+    static Result<GcMessage> decode(std::span<const std::uint8_t> data) {
+        return wire::decode<GcMessage>(data);
+    }
 
     friend bool operator==(const GcMessage&, const GcMessage&) = default;
 };
@@ -81,9 +112,22 @@ struct FlushState {
     /// Old-view messages available for the cut (sym kData / asym kOrder).
     std::vector<GcMessage> entries;
 
-    [[nodiscard]] std::size_t wire_size() const;
-    [[nodiscard]] Bytes encode() const;
-    static Result<FlushState> decode(std::span<const std::uint8_t> data);
+    template <typename IO, typename M>
+    [[gnu::always_inline]] static void fields(IO& io, M& m) {
+        io.u64(m.sym_watermark_ts);
+        io.u32(m.sym_watermark_sender);
+        io.u64(m.asym_delivered);
+        // A flush cut spans one view epoch's in-flight window; anything past
+        // this bound is a corrupt frame, not a bigger group.
+        io.list(m.entries, 65536, "implausible flush entry count",
+                [&](auto& entry) { io.nested(entry); });
+    }
+
+    [[nodiscard]] std::size_t wire_size() const { return wire::size(*this); }
+    [[nodiscard]] Bytes encode() const { return wire::encode(*this); }
+    static Result<FlushState> decode(std::span<const std::uint8_t> data) {
+        return wire::decode<FlushState>(data);
+    }
 
     friend bool operator==(const FlushState&, const FlushState&) = default;
 };
@@ -114,9 +158,27 @@ struct JoinGrant {
     /// app::KvStore snapshot (lowest-id granter's copy is restored).
     Bytes app_snapshot;
 
-    [[nodiscard]] std::size_t wire_size() const;
-    [[nodiscard]] Bytes encode() const;
-    static Result<JoinGrant> decode(std::span<const std::uint8_t> data);
+    template <typename IO, typename M>
+    [[gnu::always_inline]] static void fields(IO& io, M& m) {
+        io.u64(m.lamport);
+        io.u64(m.sym_stream_out);
+        io.u64(m.rel_seq);
+        io.u64(m.causal_out);
+        io.u64(m.sym_watermark_ts);
+        io.u32(m.sym_watermark_sender);
+        io.u64(m.asym_next_deliver);
+        io.u64(m.asym_next_assign);
+        io.check(m.asym_next_deliver != 0 && m.asym_next_assign != 0,
+                 "asym positions are 1-based");
+        io.list(m.vector_clock, 4096, "implausible vector clock", [&](auto& v) { io.u64(v); });
+        io.bytes(m.app_snapshot);
+    }
+
+    [[nodiscard]] std::size_t wire_size() const { return wire::size(*this); }
+    [[nodiscard]] Bytes encode() const { return wire::encode(*this); }
+    static Result<JoinGrant> decode(std::span<const std::uint8_t> data) {
+        return wire::decode<JoinGrant>(data);
+    }
 
     friend bool operator==(const JoinGrant&, const JoinGrant&) = default;
 };
@@ -126,9 +188,18 @@ struct MulticastRequest {
     ServiceType service{ServiceType::kSymmetricTotalOrder};
     Bytes payload;
 
-    [[nodiscard]] std::size_t wire_size() const;
-    [[nodiscard]] Bytes encode() const;
-    static Result<MulticastRequest> decode(std::span<const std::uint8_t> data);
+    template <typename IO, typename M>
+    [[gnu::always_inline]] static void fields(IO& io, M& m) {
+        io.u8(m.service);
+        io.check(valid(m.service), "bad ServiceType");
+        io.bytes(m.payload);
+    }
+
+    [[nodiscard]] std::size_t wire_size() const { return wire::size(*this); }
+    [[nodiscard]] Bytes encode() const { return wire::encode(*this); }
+    static Result<MulticastRequest> decode(std::span<const std::uint8_t> data) {
+        return wire::decode<MulticastRequest>(data);
+    }
 };
 
 /// What the GC delivers up to the application layer.
@@ -150,9 +221,25 @@ struct Delivery {
     // kView
     GroupView view;
 
-    [[nodiscard]] std::size_t wire_size() const;
-    [[nodiscard]] Bytes encode() const;
-    static Result<Delivery> decode(std::span<const std::uint8_t> data);
+    template <typename IO, typename M>
+    [[gnu::always_inline]] static void fields(IO& io, M& m) {
+        io.u8(m.kind);
+        io.check(m.kind == Kind::kMessage || m.kind == Kind::kView, "bad Delivery kind");
+        io.u64(m.delivery_seq);
+        io.u32(m.sender);
+        io.u8(m.service);
+        io.check(valid(m.service), "bad ServiceType");
+        io.u64(m.sender_seq);
+        io.bytes(m.payload);
+        io.u64(m.view.view_id);
+        io.list(m.view.members, 4096, "implausible view size", [&](auto& v) { io.u32(v); });
+    }
+
+    [[nodiscard]] std::size_t wire_size() const { return wire::size(*this); }
+    [[nodiscard]] Bytes encode() const { return wire::encode(*this); }
+    static Result<Delivery> decode(std::span<const std::uint8_t> data) {
+        return wire::decode<Delivery>(data);
+    }
 
     friend bool operator==(const Delivery&, const Delivery&) = default;
 };

@@ -33,9 +33,6 @@ public:
 
     [[nodiscard]] int workers() const { return workers_; }
     [[nodiscard]] int busy() const { return busy_; }
-    [[nodiscard]] std::size_t queue_depth() const {
-        return queue_.size() + priority_queue_.size();
-    }
     [[nodiscard]] std::uint64_t tasks_completed() const { return tasks_completed_; }
     [[nodiscard]] Duration busy_time() const { return busy_time_; }
 

@@ -13,8 +13,8 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(Any, ScalarRoundTrips) {
-    for (const Any v : {Any{}, Any{true}, Any{false}, Any{std::int64_t{-7}},
-                        Any{std::uint64_t{99}}, Any{3.5}, Any{"hello"}, Any{Bytes{1, 2, 3}}}) {
+    for (const Any& v : {Any{}, Any{true}, Any{false}, Any{std::int64_t{-7}},
+                         Any{std::uint64_t{99}}, Any{3.5}, Any{"hello"}, Any{Bytes{1, 2, 3}}}) {
         const auto decoded = Any::decode(v.encode());
         ASSERT_TRUE(decoded.has_value());
         EXPECT_EQ(decoded.value(), v);
