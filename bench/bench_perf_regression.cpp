@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "crypto/envelope.hpp"
 #include "crypto/keys.hpp"
 #include "deploy/deployment.hpp"
@@ -169,7 +170,7 @@ void bench_message_plane(scenario::JsonWriter& w, bool smoke, std::uint64_t seed
 
     const double start = now_ms();
     for (int m = 0; m < messages; ++m) {
-        sender.invoke_fanout(targets, "bench", orb::Any{Bytes(payload_size, 0x42)});
+        sender.invoke_fanout(targets, "bench", Bytes(payload_size, 0x42));
     }
     sim.run();
     const double wall = now_ms() - start;
@@ -576,7 +577,10 @@ int main(int argc, char** argv) {
         if (arg == "--smoke") {
             smoke = true;
         } else if (arg == "--seed" && i + 1 < argc) {
-            seed = std::strtoull(argv[++i], nullptr, 10);
+            if (!parse_u64(argv[++i], seed)) {
+                std::fprintf(stderr, "bad --seed value '%s'\n", argv[i]);
+                return 1;
+            }
         } else if (arg == "--out" && i + 1 < argc) {
             out_path = argv[++i];
         } else if (arg == "--metrics-out" && i + 1 < argc) {

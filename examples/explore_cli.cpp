@@ -26,6 +26,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/parse.hpp"
 #include "explore/explore.hpp"
 #include "explore/repro.hpp"
 #include "explore/shrink.hpp"
@@ -69,24 +70,11 @@ void usage(const char* prog) {
         prog);
 }
 
-bool parse_u64_arg(const char* text, std::uint64_t& out) {
-    // Digits only — same strictness as scenario::parse_cli: no sign, no
-    // whitespace, no trailing garbage.
-    if (*text == '\0') return false;
-    for (const char* c = text; *c != '\0'; ++c) {
-        if (*c < '0' || *c > '9') return false;
-    }
-    char* end = nullptr;
-    errno = 0;
-    out = std::strtoull(text, &end, 10);
-    return errno == 0 && end != nullptr && *end == '\0';
-}
-
 /// Parses a bounded positive int ("--episodes 4294967296 must not wrap to
 /// a silently-green zero-episode run").
 bool parse_count_arg(const char* text, int max, int& out) {
     std::uint64_t u64 = 0;
-    if (!parse_u64_arg(text, u64) || u64 == 0 || u64 > static_cast<std::uint64_t>(max)) {
+    if (!parse_u64(text, u64) || u64 == 0 || u64 > static_cast<std::uint64_t>(max)) {
         return false;
     }
     out = static_cast<int>(u64);
@@ -211,13 +199,13 @@ int main(int argc, char** argv) {
                 return 1;
             }
         } else if (arg == "--max-faults") {
-            if (!parse_u64_arg(value(), u64) || u64 > 64) {
+            if (!parse_u64(value(), u64) || u64 > 64) {
                 std::fprintf(stderr, "explore: bad --max-faults (want 0..64)\n");
                 return 1;
             }
             config.grammar.max_fault_events = static_cast<int>(u64);
         } else if (arg == "--horizon-ms") {
-            if (!parse_u64_arg(value(), u64) || u64 == 0 || u64 > 3600000) {
+            if (!parse_u64(value(), u64) || u64 == 0 || u64 > 3600000) {
                 std::fprintf(stderr, "explore: bad --horizon-ms (want 1..3600000)\n");
                 return 1;
             }
@@ -247,7 +235,7 @@ int main(int argc, char** argv) {
             }
             config.group_sizes.clear();
             for (const auto& item : items) {
-                if (!parse_u64_arg(item.c_str(), u64) || u64 == 0 || u64 > 64) {
+                if (!parse_u64(item, u64) || u64 == 0 || u64 > 64) {
                     std::fprintf(stderr, "explore: bad group size '%s'\n", item.c_str());
                     return 1;
                 }
@@ -261,14 +249,14 @@ int main(int argc, char** argv) {
             }
             config.batch_sizes.clear();
             for (const auto& item : items) {
-                if (!parse_u64_arg(item.c_str(), u64) || u64 == 0 || u64 > 65536) {
+                if (!parse_u64(item, u64) || u64 == 0 || u64 > 65536) {
                     std::fprintf(stderr, "explore: bad batch size '%s'\n", item.c_str());
                     return 1;
                 }
                 config.batch_sizes.push_back(static_cast<std::size_t>(u64));
             }
         } else if (arg == "--seed") {
-            if (!parse_u64_arg(value(), u64)) {
+            if (!parse_u64(value(), u64)) {
                 std::fprintf(stderr, "explore: bad --seed\n");
                 return 1;
             }

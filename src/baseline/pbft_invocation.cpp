@@ -20,19 +20,17 @@ void PbftInvocation::do_multicast(newtop::ServiceType, Bytes payload) {
 }
 
 void PbftInvocation::dispatch(const orb::Request& request) {
-    if (!request.args.is<Bytes>()) return;
-    const Bytes& body = request.args.as<Bytes>();
     if (request.operation == "recovered") {
         // After a state transfer the replica replays its commits from the
         // snapshot watermark + 1; whatever is held back belongs to the
         // pre-crash stream.
-        if (body.size() != 8) return;
-        ByteReader r(body);
+        if (request.args.size() != 8) return;
+        ByteReader r(request.args);
         resume_deliveries_at(r.u64() + 1);
         return;
     }
     if (request.operation != "deliver") return;
-    auto decoded = PbftDelivery::decode(body);
+    auto decoded = PbftDelivery::decode(request.args);
     if (!decoded.has_value()) return;
     PbftDelivery committed = std::move(decoded).value();
     newtop::Delivery d;

@@ -136,7 +136,7 @@ public:
 
 private:
     std::span<const std::uint8_t> take(std::size_t n) {
-        if (pos_ + n > data_.size()) {
+        if (n > remaining()) {
             throw std::out_of_range("ByteReader: truncated input");
         }
         auto part = data_.subspan(pos_, n);

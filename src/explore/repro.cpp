@@ -2,10 +2,11 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
-#include <string_view>
+#include <set>
 #include <vector>
+
+#include "common/parse.hpp"
 
 namespace failsig::explore {
 
@@ -111,43 +112,6 @@ std::string trim(const std::string& s) {
     return s.substr(b, e - b);
 }
 
-// Strict integer parsing, same contract as scenario::parse_cli: digits only
-// (one leading '-' for signed), no '+', no whitespace, no trailing garbage.
-bool all_digits(std::string_view s) {
-    if (s.empty()) return false;
-    for (const char c : s) {
-        if (c < '0' || c > '9') return false;
-    }
-    return true;
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-    if (!all_digits(s)) return false;
-    char* end = nullptr;
-    errno = 0;
-    out = std::strtoull(s.c_str(), &end, 10);
-    return errno == 0 && end != nullptr && *end == '\0';
-}
-
-bool parse_i64(const std::string& s, std::int64_t& out) {
-    const bool negative = !s.empty() && s[0] == '-';
-    if (!all_digits(negative ? std::string_view(s).substr(1) : std::string_view(s))) {
-        return false;
-    }
-    char* end = nullptr;
-    errno = 0;
-    out = std::strtoll(s.c_str(), &end, 10);
-    return errno == 0 && end != nullptr && *end == '\0';
-}
-
-bool parse_double(const std::string& s, double& out) {
-    if (s.empty()) return false;
-    char* end = nullptr;
-    errno = 0;
-    out = std::strtod(s.c_str(), &end);
-    return errno == 0 && end != nullptr && *end == '\0';
-}
-
 bool parse_bool(const std::string& s, bool& out) {
     if (s == "0") out = false;
     else if (s == "1") out = true;
@@ -155,7 +119,8 @@ bool parse_bool(const std::string& s, bool& out) {
     return true;
 }
 
-/// Splits "k1=v1 k2=v2 ..." into a map; returns false on malformed tokens.
+/// Splits "k1=v1 k2=v2 ..." into a map; returns false on malformed or
+/// repeated tokens.
 bool kv_pairs(const std::string& text, std::map<std::string, std::string>& out) {
     std::size_t pos = 0;
     while (pos < text.size()) {
@@ -166,7 +131,7 @@ bool kv_pairs(const std::string& text, std::map<std::string, std::string>& out) 
             text.substr(pos, sp == std::string::npos ? std::string::npos : sp - pos);
         const std::size_t eq = token.find('=');
         if (eq == std::string::npos || eq == 0) return false;
-        out[token.substr(0, eq)] = token.substr(eq + 1);
+        if (!out.emplace(token.substr(0, eq), token.substr(eq + 1)).second) return false;
         pos = sp == std::string::npos ? text.size() : sp + 1;
     }
     return true;
@@ -174,26 +139,22 @@ bool kv_pairs(const std::string& text, std::map<std::string, std::string>& out) 
 
 using Err = Result<ReproSpec>;
 
-/// Fetches a required field from a parsed event's pairs.
-bool fetch(const std::map<std::string, std::string>& kv, const char* key,
-           std::string& out) {
+/// Takes a required field out of a parsed event's pairs, so whatever is
+/// left once the event is read is a token its kind does not have.
+bool take(std::map<std::string, std::string>& kv, const char* key, std::string& out) {
     const auto it = kv.find(key);
     if (it == kv.end()) return false;
-    out = it->second;
+    out = std::move(it->second);
+    kv.erase(it);
     return true;
 }
 
-bool parse_event(const std::string& body, ScenarioEvent& e, std::string& error) {
-    const std::size_t sp = body.find(' ');
-    const std::string kind = body.substr(0, sp);
-    std::map<std::string, std::string> kv;
-    if (sp != std::string::npos && !kv_pairs(body.substr(sp + 1), kv)) {
-        error = "malformed event tokens: " + body;
-        return false;
-    }
+/// Reads an event of `kind` from its pairs, taking each field it reads.
+bool parse_event_fields(const std::string& kind, std::map<std::string, std::string>& kv,
+                        ScenarioEvent& e, std::string& error) {
     std::string v;
     const auto need_i64 = [&](const char* key, std::int64_t& out) {
-        if (!fetch(kv, key, v) || !parse_i64(v, out)) {
+        if (!take(kv, key, v) || !parse_i64(v, out)) {
             error = "event '" + kind + "': bad or missing " + key;
             return false;
         }
@@ -222,14 +183,14 @@ bool parse_event(const std::string& body, ScenarioEvent& e, std::string& error) 
         return true;
     };
     const auto need_double = [&](const char* key, double& out) {
-        if (!fetch(kv, key, v) || !parse_double(v, out)) {
+        if (!take(kv, key, v) || !parse_double(v, out)) {
             error = "event '" + kind + "': bad or missing " + key;
             return false;
         }
         return true;
     };
     const auto need_bool = [&](const char* key, bool& out) {
-        if (!fetch(kv, key, v) || !parse_bool(v, out)) {
+        if (!take(kv, key, v) || !parse_bool(v, out)) {
             error = "event '" + kind + "': bad or missing " + key;
             return false;
         }
@@ -248,7 +209,7 @@ bool parse_event(const std::string& body, ScenarioEvent& e, std::string& error) 
     if (kind == "fault") {
         int member = 0;
         if (!need_int("member", member)) return false;
-        if (!fetch(kv, "node", v) || (v != "leader" && v != "follower")) {
+        if (!take(kv, "node", v) || (v != "leader" && v != "follower")) {
             error = "event 'fault': node must be leader|follower";
             return false;
         }
@@ -278,7 +239,7 @@ bool parse_event(const std::string& body, ScenarioEvent& e, std::string& error) 
         return true;
     }
     if (kind == "partition") {
-        if (!fetch(kv, "groups", v)) {
+        if (!take(kv, "groups", v)) {
             error = "event 'partition': missing groups";
             return false;
         }
@@ -354,6 +315,22 @@ bool parse_event(const std::string& body, ScenarioEvent& e, std::string& error) 
     return false;
 }
 
+bool parse_event(const std::string& body, ScenarioEvent& e, std::string& error) {
+    const std::size_t sp = body.find(' ');
+    const std::string kind = body.substr(0, sp);
+    std::map<std::string, std::string> kv;
+    if (sp != std::string::npos && !kv_pairs(body.substr(sp + 1), kv)) {
+        error = "malformed event tokens: " + body;
+        return false;
+    }
+    if (!parse_event_fields(kind, kv, e, error)) return false;
+    if (!kv.empty()) {
+        error = "event '" + kind + "': unknown token '" + kv.begin()->first + "'";
+        return false;
+    }
+    return true;
+}
+
 }  // namespace
 
 std::string to_spec(const Scenario& s, const std::string& expect_violation) {
@@ -404,6 +381,7 @@ Result<ReproSpec> parse_spec(const std::string& text) {
     ReproSpec spec;
     Scenario& s = spec.scenario;
     bool saw_format = false;
+    std::set<std::string> seen_keys;  // every header key but `event` is set once
     std::size_t line_no = 0;
     std::size_t pos = 0;
     while (pos <= text.size()) {
@@ -421,6 +399,10 @@ Result<ReproSpec> parse_spec(const std::string& text) {
         }
         const std::string key = trim(line.substr(0, eq));
         const std::string value = trim(line.substr(eq + 1));
+        if (key != "event" && !seen_keys.insert(key).second) {
+            return Err::err("spec line " + std::to_string(line_no) + ": repeated key '" + key +
+                            "'");
+        }
         const auto bad = [&](const char* what) {
             return Err::err("spec line " + std::to_string(line_no) + ": bad " +
                             std::string(what) + " '" + value + "'");

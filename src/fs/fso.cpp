@@ -111,8 +111,8 @@ void Fso::reset_for_recovery(std::uint64_t seq_base) {
 // ---------------------------------------------------------------------------
 
 void Fso::dispatch(const orb::Request& request) {
-    if (request.operation != "receiveNew" || !request.args.is<Bytes>()) return;
-    auto env = crypto::SignedEnvelope::decode(request.args.as<Bytes>());
+    if (request.operation != "receiveNew") return;
+    auto env = crypto::SignedEnvelope::decode(request.args);
     if (!env.has_value()) return;
     auto shared = std::make_shared<crypto::SignedEnvelope>(std::move(env).value());
 
@@ -516,7 +516,7 @@ void Fso::send_fail_signal_to_fs(const std::string& fs_name) {
 void Fso::send_fail_signal_to_ref(const orb::ObjectRef& ref) {
     if (ref.key.empty()) return;
     ++fail_signals_sent_;
-    raw_request(ref, kFailSignalOp, fail_signal_wire());
+    fanout_raw({ref}, kFailSignalOp, fail_signal_wire());
 }
 
 void Fso::schedule_spontaneous_fail_signal() {
@@ -551,61 +551,42 @@ void Fso::pair_send(const crypto::SignedEnvelope& env) {
     rt_.net.send(pair_ep_, peer_pair_ep_, env.encode());
 }
 
-void Fso::raw_request(const orb::ObjectRef& target, const std::string& operation, Bytes wire) {
-    fanout_raw({target}, operation, std::move(wire));
+Payload Fso::request_body(const std::string& operation, Bytes args) {
+    orb::Request req;
+    req.operation = operation;
+    req.args = std::move(args);
+    req.request_id = next_raw_request_id_++;
+    return Payload{req.encode_body()};
 }
 
 void Fso::fanout_raw(const std::vector<orb::ObjectRef>& targets, const std::string& operation,
                      Bytes wire) {
-    if (targets.empty()) return;
-    orb::Request req;
-    req.object_key = targets.front().key;
-    req.operation = operation;
-    req.args = orb::Any{std::move(wire)};
-    req.request_id = next_raw_request_id_++;
-    req.sender = pair_ep_;
-    const Payload body{req.encode_body()};
+    const Payload body = request_body(operation, std::move(wire));
     for (const auto& t : targets) {
-        rt_.net.send(pair_ep_, t.endpoint,
-                     Payload::prefixed(orb::Request::encode_key(t.key), body));
+        rt_.net.send(pair_ep_, t.endpoint, orb::Request::addressed(t.key, body));
     }
 }
 
 void Fso::transmit(const FsOutput& record, Bytes wire) {
     // One signed message, fanned out to every destination (and to both
     // replicas of FS destinations). The request body is encoded once per
-    // distinct operation and shared across targets, but the send order over
-    // destinations stays exactly as declared — the network's per-link FIFO
-    // and per-message jitter draws depend on it.
-    struct SharedBody {
-        Payload body;
-        bool ready{false};
-    };
-    SharedBody fs_body, plain_body;
-    const orb::Any args{std::move(wire)};
-    const auto send_shared = [&](const orb::ObjectRef& ref, SharedBody& slot,
-                                 const std::string& operation) {
-        if (!slot.ready) {
-            orb::Request req;
-            req.object_key = ref.key;
-            req.operation = operation;
-            req.args = args;
-            req.request_id = next_raw_request_id_++;
-            req.sender = pair_ep_;
-            slot.body = Payload{req.encode_body()};
-            slot.ready = true;
-        }
-        rt_.net.send(pair_ep_, ref.endpoint,
-                     Payload::prefixed(orb::Request::encode_key(ref.key), slot.body));
+    // distinct operation, when first needed, and shared across targets, but
+    // the send order over destinations stays exactly as declared — the
+    // network's per-link FIFO and per-message jitter draws depend on it.
+    std::optional<Payload> fs_body, plain_body;
+    const auto send = [&](const orb::ObjectRef& ref, std::optional<Payload>& body,
+                          const std::string& operation) {
+        if (!body) body = request_body(operation, wire);
+        rt_.net.send(pair_ep_, ref.endpoint, orb::Request::addressed(ref.key, *body));
     };
     for (const auto& dest : record.dests) {
         if (dest.is_fs) {
             const FsProcessInfo* info = rt_.directory.lookup(dest.fs_name);
             if (info == nullptr) continue;
-            send_shared(info->leader, fs_body, "receiveNew");
-            send_shared(info->follower, fs_body, "receiveNew");
+            send(info->leader, fs_body, "receiveNew");
+            send(info->follower, fs_body, "receiveNew");
         } else {
-            send_shared(dest.ref, plain_body, record.operation);
+            send(dest.ref, plain_body, record.operation);
         }
     }
 }

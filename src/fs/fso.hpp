@@ -208,7 +208,9 @@ private:
 
     // --- transport helpers ----------------------------------------------------
     void pair_send(const crypto::SignedEnvelope& env);
-    void raw_request(const orb::ObjectRef& target, const std::string& operation, Bytes wire);
+    /// A request body carrying `args`, with the next raw request id. The
+    /// wrapper's own sends are not charged a marshal cost.
+    [[nodiscard]] Payload request_body(const std::string& operation, Bytes args);
     /// One logical request to many targets: the body is encoded once and
     /// shared; only the per-target object-key header is materialized.
     void fanout_raw(const std::vector<orb::ObjectRef>& targets, const std::string& operation,

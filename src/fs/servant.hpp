@@ -30,8 +30,7 @@ public:
     ServiceServant& operator=(const ServiceServant&) = delete;
 
     void dispatch(const orb::Request& request) override {
-        if (!request.args.is<Bytes>()) return;
-        submit_local(request.operation, request.args.as<Bytes>());
+        submit_local(request.operation, request.args);
     }
 
     /// Feeds an input from a collocated module (Invocation layer, suspector,
@@ -63,7 +62,7 @@ private:
                 for (const auto& dest : out.dests) {
                     if (!dest.is_fs) targets.push_back(dest.ref);
                 }
-                orb_.invoke_fanout(targets, out.operation, orb::Any{std::move(out.body)});
+                orb_.invoke_fanout(targets, out.operation, std::move(out.body));
             }
             busy_ = false;
             maybe_run();

@@ -2,12 +2,6 @@
 
 namespace failsig::net {
 
-namespace {
-constexpr std::uint32_t kMagic = 0x45504d31;  // "EPM1"
-// A directory bigger than this is corrupt input, not a deployment.
-constexpr std::uint32_t kMaxEntries = 1u << 20;
-}  // namespace
-
 void EndpointMap::publish(NodeId node, SocketAddr addr) {
     entries_[node.value] = std::move(addr);
 }
@@ -15,41 +9,6 @@ void EndpointMap::publish(NodeId node, SocketAddr addr) {
 const SocketAddr* EndpointMap::find(NodeId node) const {
     const auto it = entries_.find(node.value);
     return it == entries_.end() ? nullptr : &it->second;
-}
-
-Bytes EndpointMap::encode() const {
-    ByteWriter w;
-    w.u32(kMagic);
-    w.u32(static_cast<std::uint32_t>(entries_.size()));
-    for (const auto& [node, addr] : entries_) {
-        w.u32(node);
-        w.str(addr.host);
-        w.u16(addr.port);
-    }
-    return w.take();
-}
-
-Result<EndpointMap> EndpointMap::decode(std::span<const std::uint8_t> data) {
-    try {
-        ByteReader r(data);
-        if (r.u32() != kMagic) return Result<EndpointMap>::err("endpoint-map: bad magic");
-        const std::uint32_t count = r.u32();
-        if (count > kMaxEntries) {
-            return Result<EndpointMap>::err("endpoint-map: hostile entry count");
-        }
-        EndpointMap map;
-        for (std::uint32_t i = 0; i < count; ++i) {
-            const std::uint32_t node = r.u32();
-            SocketAddr addr;
-            addr.host = r.str();
-            addr.port = r.u16();
-            map.entries_[node] = std::move(addr);
-        }
-        if (!r.done()) return Result<EndpointMap>::err("endpoint-map: trailing bytes");
-        return map;
-    } catch (const std::out_of_range&) {
-        return Result<EndpointMap>::err("endpoint-map: truncated");
-    }
 }
 
 }  // namespace failsig::net

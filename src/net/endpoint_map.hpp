@@ -6,18 +6,12 @@
 // are ephemeral (every listener binds port 0 and publishes the port the
 // kernel chose), so parallel test runs never collide; the map is therefore
 // built at deployment construction and read-only afterwards.
-//
-// The map has a wire codec (encode/decode) so a future multi-process
-// deployment can hand the directory to children over a pipe; the
-// round-trip is covered by tests/test_tcp_frame.cpp.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
 
-#include "common/bytes.hpp"
-#include "common/result.hpp"
 #include "common/types.hpp"
 
 namespace failsig::net {
@@ -26,8 +20,6 @@ namespace failsig::net {
 struct SocketAddr {
     std::string host{"127.0.0.1"};
     std::uint16_t port{0};
-
-    friend bool operator==(const SocketAddr&, const SocketAddr&) = default;
 };
 
 /// node-id ↔ host:port directory, held by the Deployment.
@@ -41,15 +33,10 @@ public:
 
     [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
-    /// Node-ordered view (deterministic encode order).
+    /// Node-ordered view.
     [[nodiscard]] const std::map<std::uint32_t, SocketAddr>& entries() const {
         return entries_;
     }
-
-    Bytes encode() const;
-    static Result<EndpointMap> decode(std::span<const std::uint8_t> data);
-
-    friend bool operator==(const EndpointMap&, const EndpointMap&) = default;
 
 private:
     std::map<std::uint32_t, SocketAddr> entries_;

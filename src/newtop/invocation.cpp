@@ -96,8 +96,8 @@ void PlainInvocation::do_multicast(ServiceType service, Bytes payload) {
 }
 
 void PlainInvocation::dispatch(const orb::Request& request) {
-    if (request.operation != "deliver" || !request.args.is<Bytes>()) return;
-    handle_delivery_bytes(request.args.as<Bytes>());
+    if (request.operation != "deliver") return;
+    handle_delivery_bytes(request.args);
 }
 
 }  // namespace failsig::newtop

@@ -37,16 +37,14 @@ void PingSuspector::tick() {
         }
         ByteWriter ping;
         ping.u32(self_);
-        orb_.invoke(ref, "ping", orb::Any{ping.take()});
+        orb_.invoke(ref, "ping", ping.take());
     }
     sim_.schedule_after(options_.ping_interval, [this] { tick(); });
 }
 
 void PingSuspector::dispatch(const orb::Request& request) {
-    if (!request.args.is<Bytes>()) return;
-    const Bytes& body = request.args.as<Bytes>();
-    if (body.size() != 4) return;
-    ByteReader r(body);
+    if (request.args.size() != 4) return;
+    ByteReader r(request.args);
     const MemberId from = r.u32();
 
     if (request.operation == "ping") {
@@ -54,7 +52,7 @@ void PingSuspector::dispatch(const orb::Request& request) {
         if (it == peers_.end()) return;
         ByteWriter pong;
         pong.u32(self_);
-        orb_.invoke(it->second, "pong", orb::Any{pong.take()});
+        orb_.invoke(it->second, "pong", pong.take());
     } else if (request.operation == "pong") {
         last_heard_[from] = sim_.now();
     }

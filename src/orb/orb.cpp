@@ -27,47 +27,24 @@ ObjectRef Orb::activate(const std::string& key, Servant* servant) {
 
 void Orb::deactivate(const std::string& key) { servants_.erase(key); }
 
-void Orb::invoke(const ObjectRef& target, const std::string& operation, Any args,
-                 ServiceContexts contexts) {
-    Request req;
-    req.object_key = target.key;
-    req.operation = operation;
-    req.args = std::move(args);
-    req.request_id = next_request_id_++;
-    req.contexts = std::move(contexts);
-    req.sender = endpoint_;
-
-    // Marshalling happens once per outgoing request on the sender's CPU.
-    const Duration marshal_cost = costs_.marshal(req.wire_size());
-    pool_.submit(marshal_cost, [this, req = std::move(req), target] {
-        ++requests_sent_;
-        net_.send(endpoint_, target.endpoint,
-                  Payload::prefixed(Request::encode_key(target.key), Payload{req.encode_body()}));
-    });
-}
-
 void Orb::invoke_fanout(const std::vector<ObjectRef>& targets, const std::string& operation,
-                        Any args, ServiceContexts contexts) {
+                        Bytes args, ServiceContexts contexts) {
     if (targets.empty()) return;
     Request req;
-    req.object_key = targets.front().key;
     req.operation = operation;
     req.args = std::move(args);
     req.request_id = next_request_id_++;
     req.contexts = std::move(contexts);
-    req.sender = endpoint_;
 
-    // One pool task per target — byte-for-byte the same simulated marshal
-    // charge a per-target invoke() loop would incur — but the body they
-    // send is encoded exactly once, here, and shared.
+    // Marshalling is charged once per target on the sender's CPU, but the
+    // body the targets are sent is encoded exactly once, here, and shared.
     const Payload body{req.encode_body()};
     const std::size_t body_wire = req.wire_size_sans_key();
     for (const auto& t : targets) {
         const Duration marshal_cost = costs_.marshal(body_wire + t.key.size());
         pool_.submit(marshal_cost, [this, t, body] {
             ++requests_sent_;
-            net_.send(endpoint_, t.endpoint,
-                      Payload::prefixed(Request::encode_key(t.key), body));
+            net_.send(endpoint_, t.endpoint, Request::addressed(t.key, body));
         });
     }
 }

@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/transport.hpp"
@@ -51,17 +52,19 @@ public:
     void deactivate(const std::string& key);
 
     /// Oneway invocation: marshals the request on this node's pool and
-    /// sends it to `target`.
-    void invoke(const ObjectRef& target, const std::string& operation, Any args,
-                ServiceContexts contexts = {});
+    /// sends it to `target` (a fan-out to one target).
+    void invoke(const ObjectRef& target, const std::string& operation, Bytes args,
+                ServiceContexts contexts = {}) {
+        invoke_fanout({target}, operation, std::move(args), std::move(contexts));
+    }
 
-    /// Fan-out invocation: one logical request, many targets. Equivalent to
-    /// one invoke() per target — same per-target marshal charge on the pool,
-    /// same wire bytes — except the body is encoded once and shared. The
+    /// Fan-out invocation: one logical request, many targets. Each target
+    /// pays its own marshal charge on the pool (body plus its key) and gets
+    /// its own key header, but the body is encoded once and shared. The
     /// protocol out-queues (GC broadcast, PBFT broadcast, FS client
     /// replica pairs) use this so a multicast costs O(1) encodes.
     void invoke_fanout(const std::vector<ObjectRef>& targets, const std::string& operation,
-                       Any args, ServiceContexts contexts = {});
+                       Bytes args, ServiceContexts contexts = {});
 
     [[nodiscard]] Endpoint endpoint() const { return endpoint_; }
     [[nodiscard]] NodeId node() const { return endpoint_.node; }

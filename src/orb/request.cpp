@@ -4,9 +4,16 @@ namespace failsig::orb {
 
 namespace {
 
+/// The argument's framing inside the body: a blob length, then the CORBA
+/// any tag of kind "bytes" and the length-prefixed byte string.
+constexpr std::uint8_t kBytesTag = 6;
+constexpr std::size_t kArgsFraming = 1 + 4;
+
 void encode_body_into(ByteWriter& w, const Request& req) {
     w.str(req.operation);
-    req.args.encode_into_prefixed(w);
+    w.u32(static_cast<std::uint32_t>(kArgsFraming + req.args.size()));
+    w.u8(kBytesTag);
+    w.bytes(req.args);
     w.u32(req.reply_to.endpoint.node.value);
     w.u32(req.reply_to.endpoint.port.value);
     w.str(req.reply_to.key);
@@ -22,10 +29,10 @@ void encode_body_into(ByteWriter& w, const Request& req) {
 /// truncation, returns an error message for semantic failures.
 Result<Request> decode_body(ByteReader& r, Request req) {
     req.operation = r.str();
-    const auto args_wire = r.bytes_view();
-    auto args = Any::decode(args_wire);
-    if (!args.has_value()) return Result<Request>::err("bad args: " + args.error().message);
-    req.args = std::move(args).value();
+    ByteReader args(r.bytes_view());
+    if (args.u8() != kBytesTag) return Result<Request>::err("bad args: not a byte string");
+    req.args = args.bytes();
+    if (!args.done()) return Result<Request>::err("bad args: trailing bytes");
     req.reply_to.endpoint.node.value = r.u32();
     req.reply_to.endpoint.port.value = r.u32();
     req.reply_to.key = r.str();
@@ -54,6 +61,10 @@ Bytes Request::encode_body() const {
     w.reserve(wire_size_sans_key() + 64);
     encode_body_into(w, *this);
     return w.take();
+}
+
+Payload Request::addressed(const std::string& key, const Payload& body) {
+    return Payload::prefixed(encode_key(key), body);
 }
 
 Bytes Request::encode() const {
@@ -92,7 +103,7 @@ Result<Request> Request::decode_message(const Payload& payload) {
 std::size_t Request::wire_size() const { return object_key.size() + wire_size_sans_key(); }
 
 std::size_t Request::wire_size_sans_key() const {
-    std::size_t size = operation.size() + args.encoded_size();
+    std::size_t size = operation.size() + kArgsFraming + args.size();
     for (const auto& [name, blob] : contexts) size += name.size() + blob.size();
     return size;
 }

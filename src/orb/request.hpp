@@ -4,6 +4,11 @@
 // the object key. Service contexts are named byte blobs piggybacked on a
 // request (CORBA's out-of-band metadata channel): the ORB carries them
 // opaquely on the wire and charges their bytes like the arguments'.
+//
+// The NewTOP Invocation service "marshals a multicast message ... into a
+// generic CORBA type any" (paper §3). Every operation in this system takes
+// one marshalled byte string, so a request's argument is exactly that: the
+// wire frames it the way a CORBA any of kind "bytes" is framed (tag 6).
 #pragma once
 
 #include <cstdint>
@@ -14,9 +19,12 @@
 #include "common/payload.hpp"
 #include "common/result.hpp"
 #include "common/types.hpp"
-#include "orb/any.hpp"
 
 namespace failsig::orb {
+
+/// The argument type of every request. The name stays only because
+/// bench/e2e/driver.cpp still spells it; everything else writes Bytes.
+using Any = Bytes;
 
 /// Location-independent object reference.
 struct ObjectRef {
@@ -33,7 +41,7 @@ using ServiceContexts = std::map<std::string, Bytes>;
 struct Request {
     std::string object_key;    ///< target object on the receiving ORB
     std::string operation;     ///< operation name
-    Any args;                  ///< marshalled arguments
+    Bytes args;                ///< the marshalled argument
     ObjectRef reply_to;        ///< where responses should be directed (optional)
     std::uint64_t request_id{0};
     ServiceContexts contexts;  ///< out-of-band metadata, carried opaquely
@@ -42,13 +50,15 @@ struct Request {
     // The wire image is [header][body]: the header is the length-prefixed
     // object key (the only per-target field), the body is everything else.
     // A multicast encodes the body once and shares it across all n targets
-    // via Payload::prefixed — encode() remains the concatenation, so the
-    // byte layout is unchanged from the pre-zero-copy plane.
+    // (see addressed()); encode() is the concatenation.
     [[nodiscard]] Bytes encode() const;
     /// The per-target header for `key` (a length-prefixed string).
     static Bytes encode_key(const std::string& key);
     /// Everything after the object key, shared across a fan-out.
     [[nodiscard]] Bytes encode_body() const;
+    /// The wire image of a shared body sent to the object `key`: its key
+    /// header in front of the body, which stays shared with every sibling.
+    static Payload addressed(const std::string& key, const Payload& body);
 
     static Result<Request> decode(std::span<const std::uint8_t> data);
     /// Segment-aware decode: reads the object key from the payload's header

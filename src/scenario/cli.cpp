@@ -1,8 +1,8 @@
 #include "scenario/cli.hpp"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
+
+#include "common/parse.hpp"
 
 namespace failsig::scenario {
 
@@ -31,26 +31,10 @@ void print_usage(const char* program, const std::string& extra) {
         program, extra.c_str());
 }
 
-bool parse_u64(const char* text, std::uint64_t& out) {
-    // Digits only: strtoull would silently wrap "-1" to 2^64-1.
-    if (*text == '\0') return false;
-    for (const char* p = text; *p != '\0'; ++p) {
-        if (*p < '0' || *p > '9') return false;
-    }
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE) return false;
-    out = static_cast<std::uint64_t>(v);
-    return true;
-}
-
-/// Strict positive-int parse: the whole token must be digits, so typos like
-/// "4x8" are rejected instead of silently truncating to 4.
+/// A positive int up to one million, read by the strict parse_u64.
 bool parse_positive_int(const std::string& token, int& out) {
-    char* end = nullptr;
-    const long v = std::strtol(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0' || v <= 0 || v > 1'000'000) return false;
+    std::uint64_t v = 0;
+    if (!parse_u64(token, v) || v == 0 || v > 1'000'000) return false;
     out = static_cast<int>(v);
     return true;
 }

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 
 #include "explore/explore.hpp"
@@ -328,23 +330,61 @@ TEST(ExploreEngine, ViolationsCarryAFlightRecorderDump) {
 
 // --- spec codec ----------------------------------------------------------------
 
+/// The `key = value` header lines of a spec (everything but its events).
+std::map<std::string, std::string> spec_header(const std::string& text) {
+    std::map<std::string, std::string> header;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) {
+        const std::size_t eq = line.find(" = ");
+        if (eq == std::string::npos || line.starts_with("event")) continue;
+        header[line.substr(0, eq)] = line.substr(eq + 3);
+    }
+    return header;
+}
+
 TEST(ExploreSpec, RoundTripsEveryEventKind) {
+    // Every header key and every event field away from its default, so the
+    // round trip exercises each one's parse.
     Scenario s;
     s.name = "test/roundtrip";
-    s.system = SystemKind::kFsNewTop;
+    s.system = SystemKind::kPbft;
     s.group_size = 4;
     s.seed = 1234567890123456789ULL;
     s.tie_break_seed = 42;
-    s.placement = fsnewtop::Placement::kFull;
-    s.batch.max_requests = 8;
+    s.threads_per_node = 5;
     s.deadline = 9 * kSecond;
+    s.settle = 7 * kSecond;
+    s.workload.msgs_per_member = 17;
+    s.workload.payload_size = 64;
+    s.workload.send_interval = 3 * kMillisecond;
+    s.workload.service = newtop::ServiceType::kCausalOrder;
+    s.batch.max_requests = 8;
+    s.batch.max_bytes = 4096;
+    s.batch.flush_after = 5 * kMillisecond;
+    s.start_suspectors = true;
+    s.suspector.ping_interval = 100 * kMillisecond;
+    s.suspector.suspect_timeout = 600 * kMillisecond;
+    s.placement = fsnewtop::Placement::kFull;
+    s.fs_config.delta = 700 * kMicrosecond;
+    s.fs_config.kappa = 1.5;
+    s.fs_config.sigma = 3.25;
+    s.fs_config.t1 = 2 * kMillisecond;
+    s.fs_config.t2 = 4 * kMillisecond;
+    s.fs_config.compare_slack = 20 * kMillisecond;
+    s.fs_config.order_link_mac = true;
+    s.checkpoint_interval = 25;
     fs::FaultPlan plan;
+    plan.corrupt_outputs = true;
+    plan.drop_outputs = true;
     plan.misorder_inputs = true;
+    plan.spontaneous_fail_signals = true;
+    plan.spontaneous_interval = 30 * kMillisecond;
     plan.probability = 0.5;
     plan.extra_processing_delay = 7 * kMillisecond;
+    plan.active_from = 150;
     s.timeline = {
         ScenarioEvent::crash(100, 1),
-        ScenarioEvent::fault(200, 2, scenario::PairNode::kLeader, plan),
+        ScenarioEvent::fault(200, 2, scenario::PairNode::kFollower, plan),
         ScenarioEvent::delay_surge(300, 50, 400),
         ScenarioEvent::partition(500, {{0, 1}, {2, 3}}),
         ScenarioEvent::heal_partition(600),
@@ -352,9 +392,25 @@ TEST(ExploreSpec, RoundTripsEveryEventKind) {
         ScenarioEvent::burst(800, 3, 5),
         ScenarioEvent::fire_timeouts(900),
         ScenarioEvent::load(1000, scenario::LoadSpec{150.0, 250 * kMillisecond, 16}),
+        ScenarioEvent::recover(1100, 1),
     };
+    std::set<ScenarioEvent::Kind> kinds;
+    for (const auto& e : s.timeline) kinds.insert(e.kind);
+    // Kinds are numbered from 1 to the last one, kRecoverMember.
+    EXPECT_EQ(kinds.size(), static_cast<std::size_t>(ScenarioEvent::Kind::kRecoverMember));
 
     const std::string text = to_spec(s, "agreement");
+    const auto header = spec_header(text);
+    const auto defaults = spec_header(to_spec(Scenario{}));
+    // Two keys are written only when set: checkpoint_interval and
+    // expect_violation.
+    EXPECT_EQ(header.size(), defaults.size() + 2);
+    for (const auto& [key, value] : header) {
+        if (key == "format") continue;
+        const auto it = defaults.find(key);
+        EXPECT_TRUE(it == defaults.end() || it->second != value) << key << " is at its default";
+    }
+
     const auto parsed = parse_spec(text);
     ASSERT_TRUE(parsed.has_value()) << parsed.error().message;
     EXPECT_EQ(parsed.value().expect_violation, "agreement");
@@ -391,6 +447,12 @@ TEST(ExploreSpec, RejectsMalformedSpecsLoudly) {
     EXPECT_FALSE(parse_spec(good + "event = crash at=5\n").has_value())
         << "crash needs a member";
     EXPECT_FALSE(parse_spec(good + "event = burst at=x member=0 messages=1\n").has_value());
+    EXPECT_FALSE(parse_spec(good + "group_size = 3\ngroup_size = 4\n").has_value())
+        << "a repeated header key";
+    EXPECT_FALSE(parse_spec(good + "event = crash at=5 member=1 bogus=3\n").has_value())
+        << "a token the event kind does not have";
+    EXPECT_FALSE(parse_spec(good + "event = crash at=5 member=1 member=2\n").has_value())
+        << "a repeated event token";
 }
 
 // --- the checked-in fixture ----------------------------------------------------

@@ -283,7 +283,7 @@ TEST(FsProcess, ClientTalkingOnlyToLeaderStillWorks) {
     input.body = make_body(client.ref(), 5);
     input.origin_ref = client.ref();
     client_orb.invoke(info->leader, "receiveNew",
-                      orb::Any{crypto::SignedEnvelope(input.encode()).encode()});
+                      crypto::SignedEnvelope(input.encode()).encode());
     w.sim.run();
     EXPECT_EQ(responses, 1);
 }
@@ -305,7 +305,7 @@ TEST(FsProcess, ClientTalkingOnlyToFollowerStillWorks) {
     input.body = make_body(client.ref(), 6);
     input.origin_ref = client.ref();
     client_orb.invoke(info->follower, "receiveNew",
-                      orb::Any{crypto::SignedEnvelope(input.encode()).encode()});
+                      crypto::SignedEnvelope(input.encode()).encode());
     w.sim.run();
     EXPECT_EQ(responses, 1);
 }
@@ -497,7 +497,7 @@ TEST(FsAuth, ForgedOutputRejectedByClient) {
     env.add_signature(w.keys.signer("mallory"));
 
     orb::Orb& mallory_orb = w.domain.create_orb(NodeId{4});
-    mallory_orb.invoke(client.ref(), "sum", orb::Any{env.encode()});
+    mallory_orb.invoke(client.ref(), "sum", env.encode());
     w.sim.run();
     EXPECT_EQ(responses, 0);
     EXPECT_EQ(client.invalid_dropped(), 1u);
@@ -522,7 +522,7 @@ TEST(FsAuth, SingleSignedOutputRejectedByClient) {
     env.add_signature(w.keys.signer("p1/L"));  // only the leader's signature
 
     orb::Orb& mallory_orb = w.domain.create_orb(NodeId{4});
-    mallory_orb.invoke(client.ref(), "sum", orb::Any{env.encode()});
+    mallory_orb.invoke(client.ref(), "sum", env.encode());
     w.sim.run();
     EXPECT_EQ(responses, 0);
     EXPECT_EQ(client.invalid_dropped(), 1u);
@@ -544,7 +544,7 @@ TEST(FsAuth, ForgedFailSignalRejected) {
     env.add_signature(w.keys.signer("mallory"));
 
     orb::Orb& mallory_orb = w.domain.create_orb(NodeId{4});
-    mallory_orb.invoke(client.ref(), kFailSignalOp, orb::Any{env.encode()});
+    mallory_orb.invoke(client.ref(), kFailSignalOp, env.encode());
     w.sim.run();
     EXPECT_FALSE(fail_signalled);
     EXPECT_EQ(client.invalid_dropped(), 1u);

@@ -1,4 +1,4 @@
-// Unit tests for the mini-ORB: Any codec, request codec, invocation,
+// Unit tests for the mini-ORB: request codec, invocation,
 // thread-pool dispatch, per-node pool sharing.
 #include <gtest/gtest.h>
 
@@ -9,64 +9,6 @@ namespace failsig::orb {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Any
-// ---------------------------------------------------------------------------
-
-TEST(Any, ScalarRoundTrips) {
-    for (const Any& v : {Any{}, Any{true}, Any{false}, Any{std::int64_t{-7}},
-                         Any{std::uint64_t{99}}, Any{3.5}, Any{"hello"}, Any{Bytes{1, 2, 3}}}) {
-        const auto decoded = Any::decode(v.encode());
-        ASSERT_TRUE(decoded.has_value());
-        EXPECT_EQ(decoded.value(), v);
-    }
-}
-
-TEST(Any, NestedSequenceAndStruct) {
-    AnyStruct inner{{"k", Any{std::int64_t{1}}}, {"s", Any{"v"}}};
-    AnySequence seq{Any{inner}, Any{"second"}, Any{AnySequence{Any{true}}}};
-    const Any v{seq};
-    const auto decoded = Any::decode(v.encode());
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(decoded.value(), v);
-}
-
-TEST(Any, TypePredicates) {
-    const Any v{"text"};
-    EXPECT_TRUE(v.is<std::string>());
-    EXPECT_FALSE(v.is<Bytes>());
-    EXPECT_EQ(v.as<std::string>(), "text");
-    EXPECT_THROW((void)v.as<Bytes>(), std::bad_variant_access);
-    EXPECT_TRUE(Any{}.is_null());
-}
-
-TEST(Any, DecodeRejectsGarbage) {
-    EXPECT_FALSE(Any::decode(Bytes{0xff}).has_value());
-    EXPECT_FALSE(Any::decode(Bytes{}).has_value());
-    // sequence claiming a billion elements
-    ByteWriter w;
-    w.u8(7);
-    w.u32(1000000000);
-    EXPECT_FALSE(Any::decode(w.view()).has_value());
-}
-
-TEST(Any, DecodeRejectsTrailingBytes) {
-    Bytes wire = Any{std::int64_t{5}}.encode();
-    wire.push_back(0x00);
-    EXPECT_FALSE(Any::decode(wire).has_value());
-}
-
-TEST(Any, DeepNestingRejected) {
-    // Build a 40-deep nested sequence wire image by hand.
-    ByteWriter w;
-    for (int i = 0; i < 40; ++i) {
-        w.u8(7);   // sequence
-        w.u32(1);  // one element
-    }
-    w.u8(0);  // innermost null
-    EXPECT_FALSE(Any::decode(w.view()).has_value());
-}
-
-// ---------------------------------------------------------------------------
 // Request codec
 // ---------------------------------------------------------------------------
 
@@ -74,7 +16,7 @@ TEST(Request, EncodeDecodeRoundTrip) {
     Request req;
     req.object_key = "gc:1";
     req.operation = "multicast";
-    req.args = Any{Bytes{9, 9, 9}};
+    req.args = Bytes{9, 9, 9};
     req.reply_to = ObjectRef{{NodeId{4}, PortId{5}}, "client:7"};
     req.request_id = 42;
     req.contexts["sig"] = Bytes{1, 2};
@@ -102,9 +44,48 @@ TEST(Request, DecodeRejectsTruncation) {
 
 TEST(Request, WireSizeGrowsWithPayload) {
     Request small, big;
-    small.args = Any{Bytes(10, 0)};
-    big.args = Any{Bytes(10000, 0)};
+    small.args = Bytes(10, 0);
+    big.args = Bytes(10000, 0);
     EXPECT_LT(small.wire_size() + 5000, big.wire_size());
+}
+
+TEST(Request, WireImageIsPinned) {
+    // The argument is framed as a CORBA any of kind "bytes": a blob length,
+    // tag 6, then the length-prefixed bytes.
+    Request req;
+    req.object_key = "gc:1";
+    req.operation = "deliver";
+    req.args = Bytes{1, 2, 3};
+    req.request_id = 7;
+    req.contexts["sig"] = Bytes{0xaa};
+    EXPECT_EQ(to_hex(req.encode()),
+              "0400000067633a310700000064656c697665720800000006030000000102030000000000000000"
+              "000000000700000000000000010000000300000073696701000000aa");
+    // The cost model's size proxy counts the argument as 1 + 4 + n bytes.
+    EXPECT_EQ(req.wire_size(), 23u);
+}
+
+TEST(Request, DecodeRejectsMalformedArgument) {
+    // A request's wire image, field by field, around a hand-made argument.
+    const auto wire_with_args = [](const Bytes& blob) {
+        ByteWriter w;
+        w.str("gc:1");     // object key
+        w.str("deliver");  // operation
+        w.bytes(blob);     // argument
+        w.u32(0);          // reply_to node
+        w.u32(0);          // reply_to port
+        w.str("");         // reply_to key
+        w.u64(7);          // request id
+        w.u32(0);          // no contexts
+        return w.take();
+    };
+    ASSERT_TRUE(Request::decode(wire_with_args(Bytes{6, 0, 0, 0, 0})).has_value());
+    EXPECT_FALSE(Request::decode(wire_with_args(Bytes{5, 0, 0, 0, 0})).has_value())
+        << "a tag other than 6";
+    EXPECT_FALSE(Request::decode(wire_with_args(Bytes{6, 2, 0, 0, 0, 9})).has_value())
+        << "an argument shorter than its length";
+    EXPECT_FALSE(Request::decode(wire_with_args(Bytes{6, 0, 0, 0, 0, 9})).has_value())
+        << "trailing bytes inside the argument blob";
 }
 
 // ---------------------------------------------------------------------------
@@ -131,12 +112,12 @@ TEST(Orb, OnewayInvocationReachesServant) {
     RecordingServant servant;
     const ObjectRef ref = b.activate("svc", &servant);
 
-    a.invoke(ref, "ping", Any{"payload"});
+    a.invoke(ref, "ping", bytes_of("payload"));
     w.sim.run();
 
     ASSERT_EQ(servant.requests.size(), 1u);
     EXPECT_EQ(servant.requests[0].operation, "ping");
-    EXPECT_EQ(servant.requests[0].args.as<std::string>(), "payload");
+    EXPECT_EQ(servant.requests[0].args, bytes_of("payload"));
     EXPECT_EQ(servant.requests[0].sender, a.endpoint());
     EXPECT_EQ(a.requests_sent(), 1u);
     EXPECT_EQ(b.requests_dispatched(), 1u);
@@ -146,7 +127,7 @@ TEST(Orb, UnknownObjectKeyIsIgnored) {
     TestWorld w;
     Orb& a = w.domain.create_orb(NodeId{1});
     Orb& b = w.domain.create_orb(NodeId{2});
-    a.invoke(ObjectRef{b.endpoint(), "ghost"}, "ping", Any{});
+    a.invoke(ObjectRef{b.endpoint(), "ghost"}, "ping", {});
     w.sim.run();
     EXPECT_EQ(b.requests_dispatched(), 0u);
 }
@@ -158,7 +139,7 @@ TEST(Orb, DeactivateStopsDispatch) {
     RecordingServant servant;
     const ObjectRef ref = b.activate("svc", &servant);
     b.deactivate("svc");
-    a.invoke(ref, "ping", Any{});
+    a.invoke(ref, "ping", {});
     w.sim.run();
     EXPECT_TRUE(servant.requests.empty());
 }
@@ -168,7 +149,7 @@ TEST(Orb, SelfInvocationWorks) {
     Orb& a = w.domain.create_orb(NodeId{1});
     RecordingServant servant;
     const ObjectRef ref = a.activate("svc", &servant);
-    a.invoke(ref, "op", Any{std::int64_t{1}});
+    a.invoke(ref, "op", Bytes{1});
     w.sim.run();
     EXPECT_EQ(servant.requests.size(), 1u);
 }
@@ -195,7 +176,7 @@ TEST(Orb, ThreadPoolLimitsConcurrentDispatch) {
         Orb& server = domain.create_orb(NodeId{2});
         RecordingServant servant;
         const ObjectRef ref = server.activate("svc", &servant);
-        for (int i = 0; i < 5; ++i) client.invoke(ref, "op", Any{});
+        for (int i = 0; i < 5; ++i) client.invoke(ref, "op", {});
         sim.run();
         (threads == 1 ? serialized : parallel) = sim.now();
     }

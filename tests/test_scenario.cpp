@@ -482,6 +482,13 @@ TEST(ScenarioCli, RejectsBadValues) {
     // Absurd payloads are an out-of-memory, not a sweep; reject past 16 MiB.
     const char* argv8[] = {"prog", "--payload", "999999999999999"};
     EXPECT_TRUE(parse_cli(3, const_cast<char**>(argv8)).error);
+    // A sign or a leading space is not part of a number.
+    const char* argv9[] = {"prog", "--groups", "+3"};
+    EXPECT_TRUE(parse_cli(3, const_cast<char**>(argv9)).error);
+    const char* argv10[] = {"prog", "--groups", " 3"};
+    EXPECT_TRUE(parse_cli(3, const_cast<char**>(argv10)).error);
+    const char* argv11[] = {"prog", "--messages", " 2"};
+    EXPECT_TRUE(parse_cli(3, const_cast<char**>(argv11)).error);
 }
 
 }  // namespace
