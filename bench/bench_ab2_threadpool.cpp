@@ -12,7 +12,8 @@ int main(int argc, char** argv) {
     using namespace failsig;
     using namespace failsig::bench;
 
-    const auto cli = scenario::parse_cli(argc, argv);
+    const auto cli = scenario::parse_cli(
+        argc, argv, {"--groups", "--messages", "--payload", "--seed", "--jobs", "--out"});
     if (cli.help) return 0;
     if (cli.error) return 1;
     const std::vector<int> groups =

@@ -101,10 +101,7 @@ bool newtop_splits_under_surge(Duration suspect_timeout, Duration surge, std::ui
 }  // namespace
 
 int main(int argc, char** argv) {
-    const auto cli = scenario::parse_cli(
-        argc, argv,
-        "  (--groups/--messages/--payload/--jobs are not used by this bench:\n"
-        "   its measurement loops step one simulation at a time)\n");
+    const auto cli = scenario::parse_cli(argc, argv, {"--seed", "--out"});
     if (cli.help) return 0;
     if (cli.error) return 1;
     const std::uint64_t seed = cli.seed_set ? cli.seed : 1;

@@ -58,10 +58,7 @@ BaselineResult measure(scenario::SystemKind system, int group, int requests,
 }  // namespace
 
 int main(int argc, char** argv) {
-    const auto cli = scenario::parse_cli(
-        argc, argv,
-        "  (--messages sets requests per configuration; --groups/--payload/--jobs\n"
-        "   unused: per-request latency is measured by stepping one simulation)\n");
+    const auto cli = scenario::parse_cli(argc, argv, {"--messages", "--seed", "--out"});
     if (cli.help) return 0;
     if (cli.error) return 1;
     const int requests = cli.msgs_per_member > 0 ? cli.msgs_per_member : 20;

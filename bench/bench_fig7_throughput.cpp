@@ -11,7 +11,9 @@ int main(int argc, char** argv) {
     using namespace failsig;
     using namespace failsig::bench;
 
-    const auto cli = scenario::parse_cli(argc, argv);
+    const auto cli = scenario::parse_cli(
+        argc, argv,
+        {"--groups", "--messages", "--payload", "--batch", "--seed", "--jobs", "--out"});
     if (cli.help) return 0;
     if (cli.error) return 1;
     std::vector<int> groups = cli.group_sizes;

@@ -12,9 +12,8 @@ int main(int argc, char** argv) {
     using namespace failsig;
     using namespace failsig::bench;
 
-    const auto cli = scenario::parse_cli(
-        argc, argv, "  (--groups selects the fixed group size; --payload is ignored:\n"
-                    "   this bench sweeps message size itself)\n");
+    const auto cli =
+        scenario::parse_cli(argc, argv, {"--groups", "--messages", "--seed", "--jobs", "--out"});
     if (cli.help) return 0;
     if (cli.error) return 1;
     const int group = cli.group_sizes.empty() ? 10 : cli.group_sizes.front();

@@ -193,7 +193,7 @@ std::vector<Entry> build_campaigns(std::uint64_t seed) {
 
 int main(int argc, char** argv) {
     const auto cli = scenario::parse_cli(
-        argc, argv, "  (--groups/--messages/--payload are fixed per campaign here)\n");
+        argc, argv, {"--seed", "--jobs", "--out", "--metrics-out", "--backend", "--only"});
     if (cli.help) return 0;
     if (cli.error) return 1;
     const std::uint64_t seed = cli.seed_set ? cli.seed : 7;

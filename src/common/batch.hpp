@@ -46,8 +46,8 @@ struct BatchConfig {
     friend bool operator==(const BatchConfig&, const BatchConfig&) = default;
 };
 
-/// Deterministic counters proving the pipeline amortizes (the perf bench
-/// and CI gate diff these, never wall-clock).
+/// Deterministic counters proving the pipeline amortizes (pinned in
+/// tests/test_pinned_counters.cpp; never wall-clock).
 struct BatchStats {
     /// Requests entering the batcher (batched or passthrough).
     std::uint64_t requests_submitted{0};

@@ -48,4 +48,13 @@ bool constant_time_equal(std::span<const std::uint8_t> a, std::span<const std::u
     return acc == 0;
 }
 
+std::uint64_t fnv1a(std::span<const std::uint8_t> data) {
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const std::uint8_t b : data) {
+        hash ^= b;
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
 }  // namespace failsig

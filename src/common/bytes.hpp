@@ -33,6 +33,9 @@ std::string string_of(std::span<const std::uint8_t> data);
 /// Constant-time equality: avoids leaking match length via timing.
 bool constant_time_equal(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b);
 
+/// 64-bit FNV-1a: the obs span key and the explorer's trace hash.
+std::uint64_t fnv1a(std::span<const std::uint8_t> data);
+
 /// Appends little-endian encoded primitives to a byte buffer.
 class ByteWriter {
 public:

@@ -2,21 +2,18 @@
 
 #include <algorithm>
 
-#include "crypto/md5.hpp"
-
 namespace failsig::crypto {
 
 namespace {
 
-constexpr std::size_t kBlock = 64;  // both MD5 and SHA-256 use 64-byte blocks
+constexpr std::size_t kBlock = 64;  // SHA-256's block size
 
 /// Absorbs key ⊕ ipad into `inner` and key ⊕ opad into `outer` (RFC 2104);
 /// a key longer than a block is hashed first.
-template <typename Hasher>
-void absorb_pads(std::span<const std::uint8_t> key, Hasher& inner, Hasher& outer) {
+void absorb_pads(std::span<const std::uint8_t> key, Sha256& inner, Sha256& outer) {
     std::uint8_t k[kBlock] = {};
     if (key.size() > kBlock) {
-        const auto kd = Hasher::hash(key);
+        const auto kd = Sha256::hash(key);
         std::copy(kd.begin(), kd.end(), k);
     } else {
         std::copy(key.begin(), key.end(), k);
@@ -29,8 +26,7 @@ void absorb_pads(std::span<const std::uint8_t> key, Hasher& inner, Hasher& outer
 }
 
 /// Finishes a tag from copies of the pad-absorbed hashers.
-template <typename Hasher>
-auto finish_tag(Hasher inner, Hasher outer, std::span<const std::uint8_t> data) {
+auto finish_tag(Sha256 inner, Sha256 outer, std::span<const std::uint8_t> data) {
     inner.update(data);
     const auto inner_digest = inner.finish();
     outer.update(inner_digest);
@@ -48,13 +44,6 @@ std::array<std::uint8_t, HmacSha256::kTagSize> HmacSha256::tag(
 
 Bytes hmac_sha256(std::span<const std::uint8_t> key, std::span<const std::uint8_t> data) {
     const auto t = HmacSha256(key).tag(data);
-    return Bytes(t.begin(), t.end());
-}
-
-Bytes hmac_md5(std::span<const std::uint8_t> key, std::span<const std::uint8_t> data) {
-    Md5 inner, outer;
-    absorb_pads(key, inner, outer);
-    const auto t = finish_tag(inner, outer, data);
     return Bytes(t.begin(), t.end());
 }
 

@@ -1,4 +1,4 @@
-// HMAC (RFC 2104) over SHA-256 or MD5.
+// HMAC-SHA256 (RFC 2104).
 //
 // Used as the fast message-authentication backend inside simulated
 // deployments (where RSA's CPU cost is charged in *simulated* time via the
@@ -32,8 +32,5 @@ private:
 
 /// HMAC-SHA256 of `data` under `key` (32-byte tag).
 Bytes hmac_sha256(std::span<const std::uint8_t> key, std::span<const std::uint8_t> data);
-
-/// HMAC-MD5 of `data` under `key` (16-byte tag).
-Bytes hmac_md5(std::span<const std::uint8_t> key, std::span<const std::uint8_t> data);
 
 }  // namespace failsig::crypto

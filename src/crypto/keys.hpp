@@ -91,8 +91,8 @@ public:
 
     [[nodiscard]] Backend backend() const { return backend_; }
 
-    /// Real verifier invocations (memo misses) and memo hits, for the
-    /// perf-regression bench. Every verify_cached() call on a known
+    /// Real verifier invocations (memo misses) and memo hits, pinned in
+    /// tests/test_pinned_counters.cpp. Every verify_cached() call on a known
     /// principal counts exactly once in one of the two.
     [[nodiscard]] std::uint64_t verify_ops() const;
     [[nodiscard]] std::uint64_t verify_cache_hits() const;

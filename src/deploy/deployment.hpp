@@ -124,7 +124,7 @@ struct FaultInjection {
 };
 
 /// Deterministic recovery counters aggregated over the whole deployment
-/// (bench-gated; never wall-clock).
+/// (pinned in tests/test_pinned_counters.cpp; never wall-clock).
 struct RecoveryStats {
     std::uint64_t checkpoints_taken{0};
     std::uint64_t log_slots_truncated{0};

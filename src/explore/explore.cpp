@@ -4,6 +4,7 @@
 #include <set>
 #include <utility>
 
+#include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "explore/repro.hpp"
 #include "explore/shrink.hpp"
@@ -83,15 +84,6 @@ ScenarioEvent sample_fault_plan(Rng& rng, int member, TimePoint at) {
 }
 
 }  // namespace
-
-std::uint64_t fnv1a(const std::string& text) {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const char c : text) {
-        hash ^= static_cast<std::uint8_t>(c);
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
-}
 
 std::uint64_t derive_episode_seed(std::uint64_t config_seed, SystemKind system, int n,
                                   std::size_t batch, int episode) {
@@ -276,7 +268,7 @@ ExploreReport explore(const ExploreConfig& config) {
             }
             if (outcome.violated) ++violated_count;
             outcome.trace_events = runs[i].trace.size();
-            outcome.trace_hash = fnv1a(runs[i].trace.canonical());
+            outcome.trace_hash = fnv1a(bytes_of(runs[i].trace.canonical()));
             report.episodes.push_back(std::move(outcome));
         }
         if (heartbeat) config.progress(end, episodes.size(), violated_count);

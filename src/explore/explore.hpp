@@ -154,9 +154,6 @@ struct ExploreReport {
     [[nodiscard]] std::string to_json() const;
 };
 
-/// FNV-1a 64-bit (the trace_hash function; exposed for tests).
-std::uint64_t fnv1a(const std::string& text);
-
 /// Deterministic per-episode master seed: a splitmix64 chain over
 /// (config seed, system, group size, batch size, episode index). Like the
 /// sweep's derive_cell_seed, deliberately independent of the cell's position

@@ -1,5 +1,6 @@
 #include "explore/repro.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -182,9 +183,15 @@ bool parse_event_fields(const std::string& kind, std::map<std::string, std::stri
         out = static_cast<int>(wide);
         return true;
     };
-    const auto need_double = [&](const char* key, double& out) {
+    // A probability outside [0, 1] (or NaN) would be read by the fault
+    // injector as "never" or "always" without a word.
+    const auto need_probability = [&](const char* key, double& out) {
         if (!take(kv, key, v) || !parse_double(v, out)) {
             error = "event '" + kind + "': bad or missing " + key;
+            return false;
+        }
+        if (!(out >= 0.0 && out <= 1.0)) {
+            error = "event '" + kind + "': " + key + " must be in [0, 1]";
             return false;
         }
         return true;
@@ -224,7 +231,7 @@ bool parse_event_fields(const std::string& kind, std::map<std::string, std::stri
             return false;
         }
         if (!need_non_negative("delay_us", plan.extra_processing_delay)) return false;
-        if (!need_double("probability", plan.probability)) return false;
+        if (!need_probability("probability", plan.probability)) return false;
         if (!need_non_negative("active_from_us", plan.active_from)) return false;
         e = ScenarioEvent::fault(at, member, node, plan);
         return true;
@@ -278,7 +285,7 @@ bool parse_event_fields(const std::string& kind, std::map<std::string, std::stri
     }
     if (kind == "drop") {
         double p = 0;
-        if (!need_double("probability", p)) return false;
+        if (!need_probability("probability", p)) return false;
         e = ScenarioEvent::drop(at, p);
         return true;
     }
@@ -302,8 +309,12 @@ bool parse_event_fields(const std::string& kind, std::map<std::string, std::stri
     if (kind == "load") {
         scenario::LoadSpec spec;
         std::int64_t payload = 0;
-        if (!need_double("rate", spec.rate) ||
-            !need_non_negative("duration_us", spec.duration) ||
+        if (!take(kv, "rate", v) || !parse_double(v, spec.rate) || !std::isfinite(spec.rate) ||
+            spec.rate <= 0) {
+            error = "event 'load': rate must be a finite number > 0";
+            return false;
+        }
+        if (!need_non_negative("duration_us", spec.duration) ||
             !need_non_negative("payload", payload)) {
             return false;
         }
@@ -407,6 +418,12 @@ Result<ReproSpec> parse_spec(const std::string& text) {
             return Err::err("spec line " + std::to_string(line_no) + ": bad " +
                             std::string(what) + " '" + value + "'");
         };
+        // Every duration and every FS timing factor is >= 0; a NaN factor
+        // would reach an integer cast in the FS timers.
+        const auto read_us = [&](Duration& out) { return parse_i64(value, out) && out >= 0; };
+        const auto read_factor = [&](double& out) {
+            return parse_double(value, out) && std::isfinite(out) && out >= 0;
+        };
 
         std::uint64_t u64 = 0;
         std::int64_t i64 = 0;
@@ -432,9 +449,9 @@ Result<ReproSpec> parse_spec(const std::string& text) {
             }
             s.threads_per_node = static_cast<int>(i64);
         } else if (key == "deadline_us") {
-            if (!parse_i64(value, s.deadline)) return bad("deadline_us");
+            if (!read_us(s.deadline)) return bad("deadline_us");
         } else if (key == "settle_us") {
-            if (!parse_i64(value, s.settle)) return bad("settle_us");
+            if (!read_us(s.settle)) return bad("settle_us");
         } else if (key == "msgs_per_member") {
             if (!parse_i64(value, i64) || i64 < 0 || i64 > INT32_MAX) {
                 return bad("msgs_per_member");
@@ -444,7 +461,7 @@ Result<ReproSpec> parse_spec(const std::string& text) {
             if (!parse_u64(value, u64)) return bad("payload_size");
             s.workload.payload_size = static_cast<std::size_t>(u64);
         } else if (key == "send_interval_us") {
-            if (!parse_i64(value, s.workload.send_interval)) return bad("send_interval_us");
+            if (!read_us(s.workload.send_interval)) return bad("send_interval_us");
         } else if (key == "service") {
             if (!service_from(value, s.workload.service)) return bad("service");
         } else if (key == "batch_max_requests") {
@@ -454,40 +471,29 @@ Result<ReproSpec> parse_spec(const std::string& text) {
             if (!parse_u64(value, u64)) return bad("batch_max_bytes");
             s.batch.max_bytes = static_cast<std::size_t>(u64);
         } else if (key == "batch_flush_after_us") {
-            if (!parse_i64(value, s.batch.flush_after)) return bad("batch_flush_after_us");
+            if (!read_us(s.batch.flush_after)) return bad("batch_flush_after_us");
         } else if (key == "start_suspectors") {
             if (!parse_bool(value, s.start_suspectors)) return bad("start_suspectors");
         } else if (key == "suspector_ping_us") {
-            if (!parse_i64(value, s.suspector.ping_interval)) return bad("suspector_ping_us");
+            if (!read_us(s.suspector.ping_interval)) return bad("suspector_ping_us");
         } else if (key == "suspector_timeout_us") {
-            if (!parse_i64(value, s.suspector.suspect_timeout)) {
-                return bad("suspector_timeout_us");
-            }
+            if (!read_us(s.suspector.suspect_timeout)) return bad("suspector_timeout_us");
         } else if (key == "placement") {
             if (value == "full") s.placement = fsnewtop::Placement::kFull;
             else if (value == "collocated") s.placement = fsnewtop::Placement::kCollocated;
             else return bad("placement (want full|collocated)");
         } else if (key == "fs_delta_us") {
-            if (!parse_i64(value, s.fs_config.delta) || s.fs_config.delta < 0) {
-                return bad("fs_delta_us");
-            }
+            if (!read_us(s.fs_config.delta)) return bad("fs_delta_us");
         } else if (key == "fs_kappa") {
-            if (!parse_double(value, s.fs_config.kappa)) return bad("fs_kappa");
+            if (!read_factor(s.fs_config.kappa)) return bad("fs_kappa");
         } else if (key == "fs_sigma") {
-            if (!parse_double(value, s.fs_config.sigma)) return bad("fs_sigma");
+            if (!read_factor(s.fs_config.sigma)) return bad("fs_sigma");
         } else if (key == "fs_t1_us") {
-            if (!parse_i64(value, s.fs_config.t1) || s.fs_config.t1 < 0) {
-                return bad("fs_t1_us");
-            }
+            if (!read_us(s.fs_config.t1)) return bad("fs_t1_us");
         } else if (key == "fs_t2_us") {
-            if (!parse_i64(value, s.fs_config.t2) || s.fs_config.t2 < 0) {
-                return bad("fs_t2_us");
-            }
+            if (!read_us(s.fs_config.t2)) return bad("fs_t2_us");
         } else if (key == "fs_compare_slack_us") {
-            if (!parse_i64(value, s.fs_config.compare_slack) ||
-                s.fs_config.compare_slack < 0) {
-                return bad("fs_compare_slack_us");
-            }
+            if (!read_us(s.fs_config.compare_slack)) return bad("fs_compare_slack_us");
         } else if (key == "fs_order_link_mac") {
             if (!parse_bool(value, s.fs_config.order_link_mac)) {
                 return bad("fs_order_link_mac");

@@ -127,48 +127,4 @@ std::string MetricsRegistry::to_json(const std::string& scenario,
     return out;
 }
 
-std::string MetricsRegistry::to_prometheus() const {
-    // Prometheus metric names take [a-zA-Z0-9_:]; dots become underscores.
-    const auto prom_name = [](const std::string& name) {
-        std::string out = name;
-        for (char& c : out) {
-            if (c == '.' || c == '-') c = '_';
-        }
-        return out;
-    };
-
-    std::string out;
-    for (const auto& [name, c] : counters_) {
-        const std::string p = prom_name(name);
-        out += "# TYPE " + p + " counter\n";
-        out += p + " " + std::to_string(c.value()) + "\n";
-    }
-    for (const auto& [name, g] : gauges_) {
-        const std::string p = prom_name(name);
-        out += "# TYPE " + p + " gauge\n";
-        out += p + " " + std::to_string(g.value()) + "\n";
-    }
-    for (const auto& [name, h] : histograms_) {
-        const std::string p = prom_name(name);
-        out += "# TYPE " + p + " histogram\n";
-        // Cumulative le buckets over the sparse rendering: each non-empty
-        // log-linear bucket [lower, next) contributes its exclusive upper
-        // bound as the le threshold.
-        std::uint64_t cumulative = h.zero_count();
-        out += p + "_bucket{le=\"0\"} " + std::to_string(cumulative) + "\n";
-        for (const auto& [lower, count] : h.buckets()) {
-            cumulative += count;
-            // The bucket starting at `lower` ends where the next one starts.
-            const std::uint64_t upper =
-                Histogram::lower_bound_of(Histogram::index_of(lower) + 1) - 1;
-            out += p + "_bucket{le=\"" + std::to_string(upper) + "\"} " +
-                   std::to_string(cumulative) + "\n";
-        }
-        out += p + "_bucket{le=\"+Inf\"} " + std::to_string(h.count()) + "\n";
-        out += p + "_sum " + std::to_string(h.sum()) + "\n";
-        out += p + "_count " + std::to_string(h.count()) + "\n";
-    }
-    return out;
-}
-
 }  // namespace failsig::obs

@@ -4,9 +4,9 @@
 // only total costs at the end of a run. This registry is the accumulation
 // layer underneath the message-lifecycle spans (obs/span.hpp): hot-path
 // increments are a single add through a cached pointer, and the snapshot is
-// ordered by name, so the exported JSON / Prometheus text is a pure function
-// of the run — byte-identical across sweep worker counts. Timestamps are
-// sim ticks, never wall clock, for the same reason.
+// ordered by name, so the exported JSON is a pure function of the run —
+// byte-identical across sweep worker counts. Timestamps are sim ticks,
+// never wall clock, for the same reason.
 //
 // Instruments are registered on first use and owned by the registry;
 // returned references stay valid for the registry's lifetime (storage is a
@@ -97,7 +97,7 @@ public:
     Histogram& histogram(const std::string& name) { return histograms_[name]; }
 
     /// Every counter as (name, value), name-ascending. The conformance
-    /// tests and the perf bench consume this directly.
+    /// and pinned-counter tests consume this directly.
     [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> counter_snapshot() const;
 
     /// "failsig-metrics-v1" JSON object. `scenario` labels the run;
@@ -105,10 +105,6 @@ public:
     /// are emitted name-ascending: same run => same bytes.
     [[nodiscard]] std::string to_json(const std::string& scenario,
                                       TimePoint finished_at) const;
-
-    /// Prometheus-style text exposition (counter/gauge/histogram with
-    /// cumulative le-labelled buckets). Same ordering guarantee as to_json.
-    [[nodiscard]] std::string to_prometheus() const;
 
 private:
     std::map<std::string, Counter> counters_;

@@ -1,5 +1,6 @@
 #include "obs/obs.hpp"
 
+#include "common/bytes.hpp"
 #include "sim/simulation.hpp"
 
 namespace failsig::obs {
@@ -15,7 +16,7 @@ TimePoint Obs::now() const { return sim_ != nullptr ? sim_->now() : 0; }
 
 void Obs::span(Stage stage, std::span<const std::uint8_t> payload, int member) {
     const TimePoint at = now();
-    const std::uint64_t key = span_key(payload);
+    const std::uint64_t key = fnv1a(payload);
     spans_.stamp(stage, key, member, at);
     flight_.record(member, at,
                    std::string(stage_name(stage)) + " span=" + std::to_string(key));
@@ -24,8 +25,8 @@ void Obs::span(Stage stage, std::span<const std::uint8_t> payload, int member) {
 void Obs::span_link(std::span<const std::uint8_t> unit,
                     std::span<const std::uint8_t> request, int member) {
     const TimePoint at = now();
-    const std::uint64_t unit_key = span_key(unit);
-    const std::uint64_t request_key = span_key(request);
+    const std::uint64_t unit_key = fnv1a(unit);
+    const std::uint64_t request_key = fnv1a(request);
     spans_.link(unit_key, request_key, member, at);
     if (unit_key != request_key) {  // passthrough links would spam the ring
         flight_.record(member, at,

@@ -9,7 +9,7 @@
 //
 // so a run without observability pays one predictable not-taken branch per
 // potential stamp — cheap enough that the instrumentation stays compiled
-// in (the perf bench's obs section holds this to ~zero drift).
+// in (bench/e2e's obs.traced_cpu_ratio measures what tracing costs).
 //
 // The context is single-threaded by construction: it belongs to one run,
 // and everything inside a run executes on that run's deterministic event

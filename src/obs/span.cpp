@@ -15,15 +15,6 @@ const char* stage_name(Stage stage) {
     return "?";
 }
 
-std::uint64_t span_key(std::span<const std::uint8_t> bytes) {
-    std::uint64_t h = 1469598103934665603ull;
-    for (const std::uint8_t b : bytes) {
-        h ^= b;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 SpanTracker::SpanTracker(MetricsRegistry& metrics)
     : metrics_(metrics),
       batch_wait_us_(metrics.histogram("span.batch_wait_us")),

@@ -31,7 +31,6 @@
 
 #include <cstdint>
 #include <map>
-#include <span>
 
 #include "common/types.hpp"
 #include "obs/metrics.hpp"
@@ -53,9 +52,6 @@ inline constexpr int kStageCount = 7;
 /// Stable lowercase stage name ("submit", "net_send", ...): metric-name
 /// component and flight-recorder label.
 const char* stage_name(Stage stage);
-
-/// FNV-1a 64-bit over raw bytes — the span key function.
-std::uint64_t span_key(std::span<const std::uint8_t> bytes);
 
 class SpanTracker {
 public:

@@ -1,13 +1,16 @@
 // Shared command-line parsing for the bench and example binaries.
 //
-// Every experiment binary accepts the same knobs (group sizes, message
-// count, payload size, seed, report path) so sweeps are scriptable without
-// editing hard-coded constants:
+// Every experiment binary reads its knobs (group sizes, message count,
+// payload size, seed, report path) through one parser, so sweeps are
+// scriptable without editing hard-coded constants:
 //     bench_fig7_throughput --groups 2,6,10 --messages 80 --seed 7 --out fig7.json
+// Each binary names the flags it reads; any other flag is an error.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace failsig::scenario {
@@ -38,10 +41,12 @@ struct CliOptions {
     bool error{false};     ///< bad flag/value: message already printed
 };
 
-/// Parses --groups a,b,c / --messages N / --payload N / --batch a,b,c /
-/// --seed N / --jobs N / --out PATH / --backend sim|tcp / --only SUBSTR /
-/// --help. `extra_usage` is appended to the usage text.
-/// Callers should exit 0 on `.help` and exit 1 on `.error`.
-CliOptions parse_cli(int argc, char** argv, const std::string& extra_usage = "");
+/// Parses the flags in `accepted`, a subset of --groups a,b,c /
+/// --messages N / --payload N / --batch a,b,c / --seed N / --jobs N /
+/// --out PATH / --metrics-out PATH / --backend sim|tcp / --only SUBSTR, plus
+/// --help, whose usage text lists only `accepted`. A flag outside
+/// `accepted` is an error. Callers should exit 0 on `.help` and exit 1 on
+/// `.error`.
+CliOptions parse_cli(int argc, char** argv, std::initializer_list<std::string_view> accepted);
 
 }  // namespace failsig::scenario

@@ -51,14 +51,14 @@ struct ScenarioMetrics {
     std::uint64_t flushes_on_deadline{0};
     // Zero-copy plane accounting (see net::SimNetwork): bytes actually
     // materialized vs logical wire bytes, and distinct body encodes. These
-    // feed the perf-regression bench; they are deliberately NOT serialized
-    // into the JSON reports, whose byte layout is a compatibility
-    // surface for diff-based regression gates.
+    // are pinned by tests/test_pinned_counters.cpp; they are deliberately
+    // NOT serialized into the JSON reports, whose byte layout is a
+    // compatibility surface for diff-based regression gates.
     std::uint64_t payload_bytes_copied{0};
     std::uint64_t payload_bodies_encoded{0};
     // Authentication-layer accounting (FS-NewTOP's KeyService; zero for the
-    // other stacks). Like the payload counters these feed the perf bench
-    // (the amortized-signature measurement), not the report files.
+    // other stacks). Like the payload counters these feed the pinned
+    // counters (the amortized-signature measurement), not the report files.
     std::uint64_t verify_ops{0};
     std::uint64_t verify_cache_hits{0};
 };
@@ -73,7 +73,7 @@ struct ScenarioReport {
     /// served, rejoins completed, flush-log evictions/gaps. All zero on runs
     /// without a checkpoint interval or recovery events. Like the zero-copy
     /// counters, deliberately NOT serialized into JSON reports — the
-    /// perf-regression bench gates on them through its own tables.
+    /// pinned-counter tests read them here.
     deploy::RecoveryStats recovery;
     /// Sweep cells below a system's group-size floor are recorded, not run:
     /// metrics/invariants/trace stay empty and `skip_reason` says why.
@@ -94,8 +94,8 @@ struct ScenarioReport {
     std::string metrics_json;
     /// Flight-recorder timeline (obs::FlightRecorder::dump()).
     std::string flight_dump;
-    /// Deterministic counter snapshot, name-ascending — lets the perf bench
-    /// and tests gate on counters without parsing JSON.
+    /// Deterministic counter snapshot, name-ascending — lets tests gate on
+    /// counters without parsing JSON.
     std::vector<std::pair<std::string, std::uint64_t>> obs_counters;
 
     [[nodiscard]] bool all_invariants_passed() const { return all_passed(invariants); }

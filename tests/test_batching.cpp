@@ -403,7 +403,7 @@ TEST(BatchingScenario, LoadPlusCrashKeepsAgreement) {
 
 TEST(BatchingScenario, FsNewTopBatchingAmortizesSignatureVerifies) {
     // The acceptance measurement in miniature (the full pinned cell lives in
-    // bench_perf_regression): same workload and seed, batch 8 vs 1 — the
+    // test_pinned_counters): same workload and seed, batch 8 vs 1 — the
     // signed FS protocol rounds per request drop by the batch factor.
     auto dense = load_scenario(deploy::SystemKind::kFsNewTop, 4, 1);
     dense.timeline[0].load_spec.rate = 2000.0;

@@ -453,6 +453,32 @@ TEST(ExploreSpec, RejectsMalformedSpecsLoudly) {
         << "a token the event kind does not have";
     EXPECT_FALSE(parse_spec(good + "event = crash at=5 member=1 member=2\n").has_value())
         << "a repeated event token";
+    // Numbers a scenario cannot mean: probabilities outside [0, 1], a load
+    // that never arrives, NaN or negative FS factors, negative durations.
+    for (const char* p : {"nan", "-1", "2"}) {
+        EXPECT_FALSE(parse_spec(good + "event = drop at=0 probability=" + p + "\n").has_value())
+            << "drop probability " << p;
+    }
+    EXPECT_FALSE(parse_spec(good +
+                            "event = fault at=0 member=0 node=leader corrupt=1 drop=0 "
+                            "misorder=0 spontaneous=0 spontaneous_interval_us=0 delay_us=0 "
+                            "probability=nan active_from_us=0\n")
+                     .has_value());
+    for (const char* rate : {"0", "nan", "-3", "inf"}) {
+        EXPECT_FALSE(parse_spec(good + "event = load at=0 rate=" + rate +
+                                " duration_us=1000 payload=8\n")
+                         .has_value())
+            << "load rate " << rate;
+    }
+    EXPECT_FALSE(parse_spec(good + "fs_kappa = nan\n").has_value());
+    EXPECT_FALSE(parse_spec(good + "fs_kappa = inf\n").has_value());
+    EXPECT_FALSE(parse_spec(good + "fs_sigma = -5\n").has_value());
+    for (const char* key : {"deadline_us", "settle_us", "send_interval_us",
+                            "batch_flush_after_us", "suspector_ping_us",
+                            "suspector_timeout_us"}) {
+        EXPECT_FALSE(parse_spec(good + key + " = -1\n").has_value()) << key;
+        EXPECT_TRUE(parse_spec(good + key + " = 0\n").has_value()) << key;
+    }
 }
 
 // --- the checked-in fixture ----------------------------------------------------

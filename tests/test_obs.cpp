@@ -98,7 +98,6 @@ TEST(ObsRegistry, SnapshotOrderIsIndependentOfRegistrationOrder) {
     b.counter("z.last").inc(3);
 
     EXPECT_EQ(a.to_json("run", 500), b.to_json("run", 500));
-    EXPECT_EQ(a.to_prometheus(), b.to_prometheus());
 
     const auto snap = a.counter_snapshot();
     ASSERT_EQ(snap.size(), 2u);
@@ -114,20 +113,6 @@ TEST(ObsRegistry, JsonCarriesTheFormatTagAndSimTickTimestamp) {
     EXPECT_NE(json.find("\"scenario\":\"my/scenario\""), std::string::npos);
     EXPECT_NE(json.find("\"finished_at_us\":1234"), std::string::npos);
     EXPECT_NE(json.find("\"c\":9"), std::string::npos);
-}
-
-TEST(ObsRegistry, PrometheusBucketsAreCumulative) {
-    MetricsRegistry m;
-    Histogram& h = m.histogram("lat.us");
-    h.add(0);
-    h.add(5);
-    h.add(5);
-    const std::string text = m.to_prometheus();
-    EXPECT_NE(text.find("# TYPE lat_us histogram"), std::string::npos);
-    EXPECT_NE(text.find("lat_us_bucket{le=\"0\"} 1"), std::string::npos);
-    EXPECT_NE(text.find("lat_us_bucket{le=\"5\"} 3"), std::string::npos);  // [4,6)
-    EXPECT_NE(text.find("lat_us_bucket{le=\"+Inf\"} 3"), std::string::npos);
-    EXPECT_NE(text.find("lat_us_count 3"), std::string::npos);
 }
 
 // --- span tracker --------------------------------------------------------------

@@ -6,7 +6,7 @@
 // report rendering.
 #include <gtest/gtest.h>
 
-#include "explore/explore.hpp"
+#include "common/bytes.hpp"
 #include "scenario/cli.hpp"
 #include "scenario/report.hpp"
 #include "scenario/runner.hpp"
@@ -138,7 +138,7 @@ TEST(ScenarioEngine, CanonicalTraceHashesArePinned) {
         {timeouts, 0xd2cb41c321898ea0ull},
     };
     for (const auto& pin : pins) {
-        const std::uint64_t got = explore::fnv1a(run_scenario(pin.scenario).trace.canonical());
+        const std::uint64_t got = fnv1a(bytes_of(run_scenario(pin.scenario).trace.canonical()));
         EXPECT_EQ(got, pin.hash)
             << pin.scenario.name << " on " << name_of(pin.scenario.system)
             << ": the canonical trace now hashes to 0x" << std::hex << got
@@ -446,11 +446,17 @@ TEST(ScenarioEngine, JsonEscapingHandlesControlCharacters) {
 
 // --- CLI ---------------------------------------------------------------------
 
+/// Parses `args` with every flag the shared parser knows accepted.
+CliOptions parse_all(std::vector<const char*> args) {
+    args.insert(args.begin(), "prog");
+    return parse_cli(static_cast<int>(args.size()), const_cast<char**>(args.data()),
+                     {"--groups", "--messages", "--payload", "--batch", "--seed", "--jobs",
+                      "--out", "--metrics-out", "--backend", "--only"});
+}
+
 TEST(ScenarioCli, ParsesAllKnobs) {
-    const char* argv[] = {"prog", "--groups", "2,4,8", "--messages", "30",
-                          "--payload", "128", "--seed", "99", "--jobs", "4",
-                          "--out", "r.json"};
-    const auto cli = parse_cli(13, const_cast<char**>(argv));
+    const auto cli = parse_all({"--groups", "2,4,8", "--messages", "30", "--payload", "128",
+                                "--seed", "99", "--jobs", "4", "--out", "r.json"});
     EXPECT_FALSE(cli.help);
     EXPECT_FALSE(cli.error);
     EXPECT_EQ(cli.group_sizes, (std::vector<int>{2, 4, 8}));
@@ -463,32 +469,33 @@ TEST(ScenarioCli, ParsesAllKnobs) {
 }
 
 TEST(ScenarioCli, RejectsBadValues) {
-    const char* argv[] = {"prog", "--groups", "2,x"};
-    EXPECT_TRUE(parse_cli(3, const_cast<char**>(argv)).error);
-    const char* argv2[] = {"prog", "--bogus"};
-    EXPECT_TRUE(parse_cli(2, const_cast<char**>(argv2)).error);
+    EXPECT_TRUE(parse_all({"--groups", "2,x"}).error);
+    EXPECT_TRUE(parse_all({"--bogus"}).error);
+    EXPECT_TRUE(parse_all({"--out"}).error) << "a flag without its value";
     // Trailing garbage must error, not silently truncate ("4x8" -> 4).
-    const char* argv3[] = {"prog", "--groups", "4x8"};
-    EXPECT_TRUE(parse_cli(3, const_cast<char**>(argv3)).error);
-    const char* argv4[] = {"prog", "--messages", "30q"};
-    EXPECT_TRUE(parse_cli(3, const_cast<char**>(argv4)).error);
-    const char* argv5[] = {"prog", "--jobs", "0"};
-    EXPECT_TRUE(parse_cli(3, const_cast<char**>(argv5)).error);
+    EXPECT_TRUE(parse_all({"--groups", "4x8"}).error);
+    EXPECT_TRUE(parse_all({"--messages", "30q"}).error);
+    EXPECT_TRUE(parse_all({"--jobs", "0"}).error);
     // Negative values must not wrap through strtoull into huge sizes.
-    const char* argv6[] = {"prog", "--payload", "-1"};
-    EXPECT_TRUE(parse_cli(3, const_cast<char**>(argv6)).error);
-    const char* argv7[] = {"prog", "--seed", "-1"};
-    EXPECT_TRUE(parse_cli(3, const_cast<char**>(argv7)).error);
+    EXPECT_TRUE(parse_all({"--payload", "-1"}).error);
+    EXPECT_TRUE(parse_all({"--seed", "-1"}).error);
     // Absurd payloads are an out-of-memory, not a sweep; reject past 16 MiB.
-    const char* argv8[] = {"prog", "--payload", "999999999999999"};
-    EXPECT_TRUE(parse_cli(3, const_cast<char**>(argv8)).error);
+    EXPECT_TRUE(parse_all({"--payload", "999999999999999"}).error);
     // A sign or a leading space is not part of a number.
-    const char* argv9[] = {"prog", "--groups", "+3"};
-    EXPECT_TRUE(parse_cli(3, const_cast<char**>(argv9)).error);
-    const char* argv10[] = {"prog", "--groups", " 3"};
-    EXPECT_TRUE(parse_cli(3, const_cast<char**>(argv10)).error);
-    const char* argv11[] = {"prog", "--messages", " 2"};
-    EXPECT_TRUE(parse_cli(3, const_cast<char**>(argv11)).error);
+    EXPECT_TRUE(parse_all({"--groups", "+3"}).error);
+    EXPECT_TRUE(parse_all({"--groups", " 3"}).error);
+    EXPECT_TRUE(parse_all({"--messages", " 2"}).error);
+    EXPECT_TRUE(parse_all({"--backend", "udp"}).error);
+}
+
+TEST(ScenarioCli, RejectsFlagsTheCallerDoesNotRead) {
+    // A binary that reads only --seed and --out must not swallow a sweep
+    // flag it would ignore.
+    const char* argv[] = {"prog", "--seed", "3", "--groups", "4"};
+    EXPECT_TRUE(parse_cli(5, const_cast<char**>(argv), {"--seed", "--out"}).error);
+    EXPECT_FALSE(parse_cli(3, const_cast<char**>(argv), {"--seed", "--out"}).error);
+    const char* help[] = {"prog", "--help"};
+    EXPECT_TRUE(parse_cli(2, const_cast<char**>(help), {"--seed"}).help);
 }
 
 }  // namespace
