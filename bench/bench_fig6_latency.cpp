@@ -1,5 +1,6 @@
 // FIG6 — reproduces paper Figure 6: symmetric-total-order latency of small
-// (3-byte) messages vs group size, NewTOP vs FS-NewTOP.
+// messages (the paper's 3 bytes; 8 here, the latency tag) vs group size,
+// NewTOP vs FS-NewTOP.
 //
 // Expected shape (paper §4): FS-NewTOP shows a fairly constant absolute
 // latency overhead for small groups; the gap grows with group size, reaching
@@ -19,7 +20,7 @@ int main(int argc, char** argv) {
         for (int n = 2; n <= 10; ++n) groups.push_back(n);
     }
 
-    print_header("FIG6: symmetric total order latency vs group size (3-byte messages)",
+    print_header("FIG6: symmetric total order latency vs group size (8-byte messages)",
                  "constant FS gap for small n; ~50% overhead at n=9-10; both rise with n");
 
     std::vector<scenario::Scenario> cells;

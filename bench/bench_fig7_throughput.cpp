@@ -1,5 +1,6 @@
 // FIG7 — reproduces paper Figure 7: symmetric-total-order throughput vs
-// group size (3-byte messages, thread pool of 10).
+// group size (small messages: the paper's 3 bytes, 8 here; thread pool of
+// 10).
 //
 // Expected shape (paper §4): both systems' throughput RISES from n=2,
 // peaks around the thread-pool-scale group size, and drops for groups
@@ -26,7 +27,7 @@ int main(int argc, char** argv) {
     std::vector<std::size_t> batches = cli.batch_sizes;
     if (batches.empty()) batches.push_back(1);
 
-    print_header("FIG7: throughput vs group size (3-byte messages)",
+    print_header("FIG7: throughput vs group size (8-byte messages)",
                  "both rise from n=2, peak near 10, drop beyond; FS overhead 20-30% small n, "
                  "~100% for n>10");
 

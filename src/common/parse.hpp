@@ -33,6 +33,8 @@ inline bool parse_i64(std::string_view text, std::int64_t& out) {
     return detail::parse_whole(text, out);
 }
 
+inline bool parse_int(std::string_view text, int& out) { return detail::parse_whole(text, out); }
+
 inline bool parse_double(std::string_view text, double& out) {
     return detail::parse_whole(text, out);
 }

@@ -9,7 +9,8 @@
 // trace and the identical invariant verdicts on any machine. The format is
 // deliberately dumb — `key = value` lines and one `event = ...` line per
 // timeline entry — so reproducers are hand-editable and diff-friendly, and
-// round-trip byte-identically (to_spec(parse_spec(x)) == x).
+// round-trip byte-identically (to_spec(parse_spec(x)) == x). Each key and
+// token, its format and its range are stated once, in scenario/fields.hpp.
 #pragma once
 
 #include <string>
@@ -35,10 +36,11 @@ struct ReproSpec {
 std::string to_spec(const scenario::Scenario& scenario,
                     const std::string& expect_violation = "");
 
-/// Parses spec text. Unknown keys, malformed events and missing mandatory
-/// fields are errors (never best-effort guesses), so a typo in a
+/// Parses spec text. Unknown or repeated keys, malformed events, missing
+/// event tokens and values outside their range (scenario::RangeCheck) are
+/// errors naming the line, never best-effort guesses, so a typo in a
 /// hand-edited reproducer fails loudly instead of silently running a
-/// different scenario.
+/// different scenario or crashing the run.
 Result<ReproSpec> parse_spec(const std::string& text);
 
 }  // namespace failsig::explore

@@ -7,6 +7,10 @@
 namespace failsig::newtop {
 
 namespace {
+/// Per-byte payload handling cost (buffer copies, Java-era marshalling): a
+/// 10 kB DATA message costs ~5 ms more, the Figure-8 fall-off with size.
+constexpr double kPerByteCostUs = 0.5;
+
 /// Lexicographic (timestamp, member) comparison used for both symmetric-order
 /// delivery position and stability checks.
 bool ts_pair_greater(std::uint64_t a_ts, MemberId a_id, std::uint64_t b_ts, MemberId b_id) {
@@ -44,7 +48,7 @@ Duration GcService::processing_cost(const std::string& operation, const Bytes& b
     const Duration backlog_cost =
         std::min<Duration>(static_cast<Duration>(sym_buffer_.size()) * 5, 2000);
     return cfg_.protocol_op_cost + backlog_cost +
-           static_cast<Duration>(cfg_.per_byte_cost_us * static_cast<double>(body.size()));
+           static_cast<Duration>(kPerByteCostUs * static_cast<double>(body.size()));
 }
 
 std::vector<fs::Outbound> GcService::process(const std::string& operation, const Bytes& body) {

@@ -45,11 +45,6 @@ struct GcConfig {
     std::map<std::string, MemberId> fs_members;       ///< FS process name -> member
     /// CPU cost charged per protocol input (see sim::CostModel).
     Duration protocol_op_cost{120 * kMicrosecond};
-    /// Additional per-byte handling cost for application payloads (buffer
-    /// copies, Java-era marshalling inside the GC): 0.5 us/byte makes a
-    /// 10 kB DATA message cost ~5 ms on top of the fixed protocol cost,
-    /// which reproduces the Figure-8 throughput fall-off with message size.
-    double per_byte_cost_us{0.5};
     /// Observability context (nullptr = off). In FS-NewTOP only the pair's
     /// leader replica gets a non-null pointer, so replicated execution does
     /// not double-count stamps. Metrics are write-only side channels — the

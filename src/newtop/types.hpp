@@ -20,7 +20,7 @@ enum class ServiceType : std::uint8_t {
     kUnreliableMulticast = 5,   ///< best effort
 };
 
-/// The service class's name in reports and reproducer specs.
+/// The service class's name in reports.
 inline const char* name_of(ServiceType service) {
     switch (service) {
         case ServiceType::kSymmetricTotalOrder: return "symmetric";

@@ -2,6 +2,8 @@
 
 #include <bit>
 
+#include "common/json.hpp"
+
 namespace failsig::obs {
 
 std::size_t Histogram::index_of(std::uint64_t sample) {
@@ -57,34 +59,12 @@ std::vector<std::pair<std::string, std::uint64_t>> MetricsRegistry::counter_snap
     return out;
 }
 
-namespace {
-
-/// Metric names are dotted ASCII identifiers, but escape defensively so a
-/// stray quote can never produce invalid JSON.
-void append_json_string(std::string& out, const std::string& s) {
-    out += '"';
-    for (const char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            out += "\\u00";
-            constexpr char hex[] = "0123456789abcdef";
-            out += hex[(c >> 4) & 0xF];
-            out += hex[c & 0xF];
-        } else {
-            out += c;
-        }
-    }
-    out += '"';
-}
-
-}  // namespace
-
 std::string MetricsRegistry::to_json(const std::string& scenario,
                                      TimePoint finished_at) const {
-    std::string out = "{\"format\":\"failsig-metrics-v1\",\"scenario\":";
-    append_json_string(out, scenario);
+    // Metric names are dotted ASCII identifiers, but every string is escaped
+    // so a stray quote can never produce invalid JSON.
+    std::string out = "{\"format\":\"failsig-metrics-v1\",\"scenario\":\"" +
+                      json_escape(scenario) + '"';
     out += ",\"finished_at_us\":" + std::to_string(finished_at);
 
     out += ",\"counters\":{";
@@ -92,24 +72,21 @@ std::string MetricsRegistry::to_json(const std::string& scenario,
     for (const auto& [name, c] : counters_) {
         if (!first) out += ',';
         first = false;
-        append_json_string(out, name);
-        out += ':' + std::to_string(c.value());
+        out += '"' + json_escape(name) + "\":" + std::to_string(c.value());
     }
     out += "},\"gauges\":{";
     first = true;
     for (const auto& [name, g] : gauges_) {
         if (!first) out += ',';
         first = false;
-        append_json_string(out, name);
-        out += ':' + std::to_string(g.value());
+        out += '"' + json_escape(name) + "\":" + std::to_string(g.value());
     }
     out += "},\"histograms\":{";
     first = true;
     for (const auto& [name, h] : histograms_) {
         if (!first) out += ',';
         first = false;
-        append_json_string(out, name);
-        out += ":{\"count\":" + std::to_string(h.count()) +
+        out += '"' + json_escape(name) + "\":{\"count\":" + std::to_string(h.count()) +
                ",\"sum\":" + std::to_string(h.sum()) +
                ",\"min\":" + std::to_string(h.min()) +
                ",\"max\":" + std::to_string(h.max()) +

@@ -5,9 +5,8 @@
 
 namespace failsig::obs {
 
-Obs::Obs(const ObsConfig& config)
+Obs::Obs()
     : spans_(metrics_),
-      flight_(config.flight_capacity),
       sign_us_(metrics_.histogram("crypto.sign_us")),
       verify_us_(metrics_.histogram("crypto.verify_us")),
       holdback_depth_hist_(metrics_.histogram("gc.holdback_depth")) {}

@@ -34,15 +34,13 @@ namespace failsig::obs {
 /// The scenario-level knob (lives on scenario::Scenario as `obs`).
 struct ObsConfig {
     bool enabled{false};
-    /// Flight-recorder ring size per node.
-    std::size_t flight_capacity{256};
 
     friend bool operator==(const ObsConfig&, const ObsConfig&) = default;
 };
 
 class Obs {
 public:
-    explicit Obs(const ObsConfig& config = {});
+    Obs();
 
     /// Binds the time source: the deployment binds its Simulation during
     /// construction — stamps only read now() at event time, never before.

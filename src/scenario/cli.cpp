@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/parse.hpp"
+#include "scenario/scenario.hpp"
 
 namespace failsig::scenario {
 
@@ -50,12 +51,9 @@ void print_usage(const char* program, std::initializer_list<std::string_view> ac
     std::printf("  --help           this text\n");
 }
 
-/// A positive int up to one million, read by the strict parse_u64.
+/// A positive int up to one million, read by the strict parse_int.
 bool parse_positive_int(const std::string& token, int& out) {
-    std::uint64_t v = 0;
-    if (!parse_u64(token, v) || v == 0 || v > 1'000'000) return false;
-    out = static_cast<int>(v);
-    return true;
+    return parse_int(token, out) && out > 0 && out <= 1'000'000;
 }
 
 bool parse_int_list(const char* text, std::vector<int>& out) {
@@ -99,11 +97,8 @@ CliOptions parse_cli(int argc, char** argv, std::initializer_list<std::string_vi
         } else if (arg == "--messages") {
             ok = parse_positive_int(value, opts.msgs_per_member);
         } else if (arg == "--payload") {
-            // 16 MiB cap: each member materializes one payload per message,
-            // so an unbounded size is an instant out-of-memory, not a sweep.
-            constexpr std::uint64_t kMaxPayload = 16ull * 1024 * 1024;
             std::uint64_t v = 0;
-            ok = parse_u64(value, v) && v != 0 && v <= kMaxPayload;
+            ok = parse_u64(value, v) && v >= kMinPayload && v <= kMaxPayload;
             opts.payload_size = static_cast<std::size_t>(v);
         } else if (arg == "--batch") {
             std::vector<int> sizes;

@@ -396,7 +396,6 @@ public:
             if (e.kind == TraceEvent::Kind::kAppState) state_of[e.member] = &e;
         }
         const auto recovered = recovered_members(s);
-        const std::size_t payload_size = std::max<std::size_t>(s.workload.payload_size, 8);
         for (const int m : correct_members(s)) {
             if (recovered.contains(m)) continue;
             const auto it = state_of.find(m);
@@ -404,12 +403,8 @@ public:
             app::KvStore replay;
             for (const auto& e : t.events()) {
                 if (e.kind != TraceEvent::Kind::kDelivered || e.member != m) continue;
-                ByteWriter w;
-                w.u32(e.sender);
-                w.u32(static_cast<std::uint32_t>(e.seq));
-                Bytes payload = w.take();
-                if (payload.size() < payload_size) payload.resize(payload_size, 0x5a);
-                replay.apply(payload);
+                replay.apply(workload_payload(e.sender, static_cast<std::uint32_t>(e.seq),
+                                              s.workload.payload_size));
             }
             std::uint64_t applied = 0;
             std::uint64_t digest = 0;

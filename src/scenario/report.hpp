@@ -9,12 +9,10 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "scenario/runner.hpp"
 
 namespace failsig::scenario {
-
-/// Escapes a string for embedding in a JSON document (quotes not included).
-std::string json_escape(const std::string& s);
 
 /// Minimal JSON document builder (objects/arrays/fields); enough for the
 /// report shapes here and the benches' custom tables without dragging in a

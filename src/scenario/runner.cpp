@@ -10,7 +10,6 @@
 #include <thread>
 #include <utility>
 
-#include "common/result.hpp"
 #include "common/rng.hpp"
 #include "deploy/deployment.hpp"
 #include "sim/stats.hpp"
@@ -18,18 +17,6 @@
 namespace failsig::scenario {
 
 namespace {
-
-/// Payload: 8-byte (sender, seq) tag padded to the requested size — the
-/// same wire shape the paper benches use, so latency can be attributed to
-/// individual multicasts at every member.
-Bytes make_payload(std::uint32_t sender, std::uint32_t seq, std::size_t size) {
-    ByteWriter w;
-    w.u32(sender);
-    w.u32(seq);
-    Bytes out = w.take();
-    if (out.size() < size) out.resize(size, 0x5a);
-    return out;
-}
 
 /// Mutable state shared by the workload scheduler, the observer hooks and
 /// the metric computation of one run.
@@ -129,14 +116,9 @@ struct RunState {
 
 void fire_send(RunState& st, deploy::Deployment& d, int member, std::size_t payload_size) {
     const std::uint32_t seq = st.next_seq[static_cast<std::size_t>(member)]++;
-    Bytes payload = make_payload(static_cast<std::uint32_t>(member), seq,
-                                 std::max<std::size_t>(payload_size, 8));
+    Bytes payload = workload_payload(static_cast<std::uint32_t>(member), seq, payload_size);
     st.on_sent(member, seq, d.now());
     d.submit(member, std::move(payload));
-}
-
-void fire_send(RunState& st, deploy::Deployment& d, int member) {
-    fire_send(st, d, member, st.s.workload.payload_size);
 }
 
 /// Schedules one kLoad event's open-loop arrival process. All arrivals are
@@ -147,9 +129,6 @@ void fire_send(RunState& st, deploy::Deployment& d, int member) {
 void schedule_load(deploy::Deployment& d, RunState& st, const ScenarioEvent& event,
                    std::size_t event_index) {
     const LoadSpec& spec = event.load_spec;
-    ensure(spec.rate > 0.0, "scenario: load rate must be > 0");
-    ensure(spec.duration > 0, "scenario: load duration must be > 0");
-
     std::uint64_t state = st.s.seed ^ 0x10adf00ddeadbeefULL;
     std::uint64_t h = splitmix64(state);
     state = h ^ static_cast<std::uint64_t>(event_index);
@@ -179,7 +158,7 @@ void schedule_workload(deploy::Deployment& d, RunState& st) {
         for (int i = 0; i < n; ++i) {
             const TimePoint at = static_cast<TimePoint>(k) * w.send_interval +
                                  (static_cast<TimePoint>(i) * w.send_interval) / n;
-            d.schedule(at, [&st, &d, i] { fire_send(st, d, i); });
+            d.schedule(at, [&st, &d, i] { fire_send(st, d, i, st.s.workload.payload_size); });
         }
     }
 }
@@ -229,7 +208,7 @@ void schedule_timeline(deploy::Deployment& d, RunState& st) {
                     break;
                 case Kind::kBurst:
                     for (int b = 0; b < event.burst_messages; ++b) {
-                        fire_send(st, d, event.member);
+                        fire_send(st, d, event.member, st.s.workload.payload_size);
                     }
                     break;
                 case Kind::kFireTimeouts:
@@ -402,7 +381,9 @@ void parallel_for(std::size_t count, int jobs, const std::function<void(std::siz
 }  // namespace
 
 ScenarioReport run_scenario(const Scenario& scenario) {
-    ensure(scenario.group_size >= 1, "scenario: group_size must be >= 1");
+    if (const std::string why = scenario.invalid(); !why.empty()) {
+        throw std::invalid_argument("scenario: " + why);
+    }
 
     // The run owns its observability context: single-threaded by
     // construction (everything below executes on this run's event loop), so
@@ -412,7 +393,7 @@ ScenarioReport run_scenario(const Scenario& scenario) {
     // Observability binds to the one deterministic clock of the sim backend;
     // the TCP backend has one event loop per node, so tracing stays off there.
     if (scenario.obs.enabled && scenario.backend == deploy::Backend::kSim) {
-        obs = std::make_unique<obs::Obs>(scenario.obs);
+        obs = std::make_unique<obs::Obs>();
         spec.obs = obs.get();
     }
     const auto d = deploy::make_deployment(scenario.system, spec);

@@ -111,8 +111,9 @@ public:
 };
 
 /// Executes one scenario. Deterministic: same Scenario => byte-identical
-/// `report.trace.canonical()`. Throws ScenarioRejected when the deployment
-/// cannot express an event in the timeline.
+/// `report.trace.canonical()`. Throws std::invalid_argument when a value is
+/// out of range (Scenario::invalid()), and ScenarioRejected when the
+/// deployment cannot express an event in the timeline.
 ScenarioReport run_scenario(const Scenario& scenario);
 
 /// Runs every scenario on a pool of `jobs` worker threads (0 = hardware

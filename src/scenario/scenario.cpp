@@ -2,7 +2,18 @@
 
 #include <algorithm>
 
+#include "scenario/fields.hpp"
+
 namespace failsig::scenario {
+
+Bytes workload_payload(std::uint32_t sender, std::uint32_t seq, std::size_t size) {
+    ByteWriter w;
+    w.u32(sender);
+    w.u32(seq);
+    Bytes out = w.take();
+    out.resize(size, 0x5a);
+    return out;
+}
 
 ScenarioEvent ScenarioEvent::crash(TimePoint at, int member) {
     ScenarioEvent e;
@@ -205,6 +216,19 @@ TimePoint Scenario::workload_end() const {
         }
     }
     return end;
+}
+
+std::string Scenario::invalid() const {
+    RangeCheck check(group_size);
+    scenario_fields(check, *this);
+    for (std::size_t i = 0; check.key == nullptr && i < timeline.size(); ++i) {
+        event_fields(check, timeline[i]);
+        if (check.key != nullptr) {
+            return "event " + std::to_string(i) + " (" + name_in(kEventNames, timeline[i].kind) +
+                   "): " + check.error;
+        }
+    }
+    return check.error;
 }
 
 }  // namespace failsig::scenario

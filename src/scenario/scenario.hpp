@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "deploy/deployment.hpp"
 #include "fs/fault.hpp"
 #include "fs/fso.hpp"
@@ -31,6 +32,16 @@ using deploy::name_of;
 /// Which node of a fail-signal pair a fault plan targets (FS-NewTOP only).
 enum class PairNode : std::uint8_t { kLeader, kFollower };
 
+/// Payload bounds of a workload message: the smallest payload that carries
+/// the 8-byte (sender, seq) latency tag, and a cap past which every member
+/// materializing one payload per message runs out of memory.
+inline constexpr std::size_t kMinPayload = 8;
+inline constexpr std::size_t kMaxPayload = 16 * 1024 * 1024;
+
+/// A workload message: the (sender, seq) tag padded to `size` bytes, so
+/// latency can be attributed to individual multicasts at every member.
+Bytes workload_payload(std::uint32_t sender, std::uint32_t seq, std::size_t size);
+
 /// Open-loop load: arrivals follow a Poisson process at `rate` aggregate
 /// requests/second across all members for `duration`, with each arrival
 /// assigned to a uniformly random member. Arrival times and member choices
@@ -41,9 +52,8 @@ enum class PairNode : std::uint8_t { kLeader, kFollower };
 /// throughput/latency-vs-offered-load plots meaningful.
 struct LoadSpec {
     double rate{100.0};            ///< aggregate requests/second, must be > 0
-    Duration duration{1 * kSecond};
-    /// Payload bytes; clamped up to 8 so the (sender, seq) latency tag fits.
-    std::size_t payload{8};
+    Duration duration{1 * kSecond};  ///< must be > 0
+    std::size_t payload{kMinPayload};  ///< bytes, in [kMinPayload, kMaxPayload]
 };
 
 /// One timeline entry. Use the factory functions; `kind` says which fields
@@ -101,8 +111,7 @@ struct ScenarioEvent {
 /// members exactly like the paper's §4 runs (see bench/harness.hpp).
 struct Workload {
     int msgs_per_member{10};
-    /// Payload bytes; clamped up to 8 so the (sender, seq) latency tag fits.
-    std::size_t payload_size{8};
+    std::size_t payload_size{kMinPayload};  ///< bytes, in [kMinPayload, kMaxPayload]
     Duration send_interval{80 * kMillisecond};
     newtop::ServiceType service{newtop::ServiceType::kSymmetricTotalOrder};
 };
@@ -183,6 +192,10 @@ struct Scenario {
 
     /// Last instant at which the declared workload injects a message.
     [[nodiscard]] TimePoint workload_end() const;
+
+    /// Why the scenario cannot run: its first value outside the range
+    /// scenario/fields.hpp states for it, or empty when there is none.
+    [[nodiscard]] std::string invalid() const;
 };
 
 }  // namespace failsig::scenario

@@ -1,11 +1,12 @@
 // Schedule-space explorer tests: episode generation is pure and
 // coordinate-derived, the explore report is byte-identical at any worker
 // count, the delta-debugging shrinker produces 1-minimal reproducers whose
-// emitted spec re-runs to the same violation, the spec codec round-trips,
-// and the checked-in flush-gap fixture (the explorer's first real finding)
-// still reproduces.
+// emitted spec re-runs to the same violation, the spec codec round-trips and
+// rejects what cannot run, every checked-in spec re-renders its own lines,
+// and the flush-gap fixture (the explorer's first real finding) now passes.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -479,9 +480,65 @@ TEST(ExploreSpec, RejectsMalformedSpecsLoudly) {
         EXPECT_FALSE(parse_spec(good + key + " = -1\n").has_value()) << key;
         EXPECT_TRUE(parse_spec(good + key + " = 0\n").has_value()) << key;
     }
+    // Specs that parse but cannot run: a member outside the group (an
+    // uncaught out_of_range, or a write past the runner's per-member
+    // sequence counters), a load that never ends, δ = 0 (a modulo by zero
+    // in the pair-link delay), suspectors pinging every 0 us (simulated
+    // time never advances), and payloads too small for the latency tag.
+    const std::string n4 = good + "group_size = 4\n";
+    for (const char* event :
+         {"crash at=0 member=9", "recover at=0 member=9",
+          "fault at=0 member=9 node=leader corrupt=1 drop=0 misorder=0 spontaneous=0 "
+          "spontaneous_interval_us=0 delay_us=0 probability=1 active_from_us=0",
+          "burst at=0 member=9 messages=1", "partition at=0 groups=0,1|2,9"}) {
+        EXPECT_FALSE(parse_spec(n4 + "event = " + event + "\n").has_value()) << event;
+    }
+    EXPECT_TRUE(parse_spec(n4 + "event = crash at=0 member=3\n").has_value());
+    EXPECT_EQ(parse_spec(n4 + "event = burst at=0 member=9 messages=1\n").error().message,
+              "spec line 3: event 'burst': member must be in [0, 4)");
+    EXPECT_FALSE(
+        parse_spec(good + "event = load at=0 rate=100 duration_us=0 payload=8\n").has_value());
+    EXPECT_FALSE(parse_spec(good + "fs_delta_us = 0\n").has_value());
+    EXPECT_FALSE(parse_spec(good + "start_suspectors = 1\nsuspector_ping_us = 0\n").has_value());
+    EXPECT_FALSE(parse_spec(good + "payload_size = 3\n").has_value());
+    EXPECT_FALSE(
+        parse_spec(good + "event = load at=0 rate=100 duration_us=1000 payload=3\n").has_value());
 }
 
-// --- the checked-in fixture ----------------------------------------------------
+// --- the checked-in specs -----------------------------------------------------
+
+TEST(ExploreSpec, CheckedInSpecsPassTheRangeCheckAndRenderTheirOwnLines) {
+    // Every spec file directly under tests/fixtures/ and bench/e2e/repro/
+    // (tests/fixtures/invalid/ holds deliberately broken ones) must pass the
+    // range check, and to_spec must re-render its non-comment lines exactly.
+    std::size_t specs = 0;
+    for (const char* dir : {"/tests/fixtures", "/bench/e2e/repro"}) {
+        for (const auto& entry :
+             std::filesystem::directory_iterator(std::string(FAILSIG_SOURCE_DIR) + dir)) {
+            if (entry.path().extension() != ".scenario") continue;
+            ++specs;
+            std::ifstream in(entry.path());
+            std::ostringstream buffer;
+            buffer << in.rdbuf();
+            const auto parsed = parse_spec(buffer.str());
+            ASSERT_TRUE(parsed.has_value()) << entry.path() << ": " << parsed.error().message;
+            EXPECT_EQ(parsed.value().scenario.invalid(), "") << entry.path();
+
+            const auto body = [](const std::string& text) {
+                std::string out;
+                std::istringstream lines(text);
+                for (std::string line; std::getline(lines, line);) {
+                    if (!line.empty() && line[0] != '#') out += line + "\n";
+                }
+                return out;
+            };
+            EXPECT_EQ(body(to_spec(parsed.value().scenario, parsed.value().expect_violation)),
+                      body(buffer.str()))
+                << entry.path();
+        }
+    }
+    EXPECT_GE(specs, 2u);
+}
 
 TEST(ExploreFixture, FlushGapScenarioNowPassesAgreement) {
     // The explorer's first real finding, minimized by the shrinker: before

@@ -285,6 +285,18 @@ TEST(ScenarioEngine, BurstInjectsExtraTaggedMessages) {
     }
 }
 
+TEST(ScenarioEngine, OutOfRangeScenarioIsRejectedBeforeItRuns) {
+    // A burst from a member outside the group would write past the runner's
+    // per-member sequence counters.
+    Scenario s = fault_free(SystemKind::kNewTop, 4);
+    s.timeline.push_back(ScenarioEvent::burst(0, 9, 1));
+    EXPECT_EQ(s.invalid(), "event 0 (burst): member must be in [0, 4)");
+    EXPECT_THROW(run_scenario(s), std::invalid_argument);
+    s.timeline.clear();
+    s.workload.payload_size = 3;
+    EXPECT_THROW(run_scenario(s), std::invalid_argument);
+}
+
 // --- sweeps and reports --------------------------------------------------------
 
 TEST(ScenarioEngine, SweepCrossesAxesAndRecordsUndersizedPbftAsSkipped) {
